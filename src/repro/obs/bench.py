@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro._version import __version__
 from repro.errors import PerfRegressionError
-from repro.utils.atomicio import fsync_directory
+from repro.utils.atomicio import append_line, fsync_directory
 
 PathLike = Union[str, Path]
 
@@ -255,10 +255,8 @@ def record(
         entry["note"] = note
     path = Path(history_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        handle.flush()
-    fsync_directory(path.parent)
+    append_line(path, json.dumps(entry, sort_keys=True))
+    fsync_directory(path.parent)  # the file itself may be new
     return entry
 
 

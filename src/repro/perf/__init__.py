@@ -1,4 +1,4 @@
-"""Performance layer: memoization and parallel sweep execution.
+"""Performance layer: memoization and the vectorized sweep compiler.
 
 ``repro.perf`` holds the machinery that makes design-space sweeps fast
 without changing what they compute:
@@ -7,17 +7,15 @@ without changing what they compute:
   ``(LayerResult, DramTraffic)`` pairs across layers, tiles and grid
   points (ResNet-50 repeats conv shapes; scale-out grids collapse to
   <= 4 distinct GEMMs per layer).
-* :func:`~repro.perf.parallel.execute_grid_parallel` — the
-  multiprocess grid backend behind ``execute_grid(workers=N)``,
-  preserving serial semantics exactly (row order, retries, circuit
-  breaker, checkpointing from the parent).
 * :mod:`~repro.perf.compiler` — the sweep compiler: an entire
   (grid x array shape) design space evaluated as numpy arrays in a few
   vectorized passes, with frontier selection so the cycle-accurate
   engine only runs on analytically interesting points.
 
-Every speed-up in this package is exactness-preserving and covered by
-equivalence tests against the serial/uncached reference paths.
+Parallel sweeps (``execute_grid(workers=N)``) run on the supervised
+pool in :mod:`repro.robust.supervisor`.  Every speed-up in this package
+is exactness-preserving and covered by equivalence tests against the
+serial/uncached reference paths.
 """
 
 from repro.perf.cache import SimulationCache, cache, simulation_key

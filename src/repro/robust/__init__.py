@@ -31,12 +31,7 @@ subsystem.  It provides:
 See ``docs/robustness.md`` for the full story.
 """
 
-from repro.robust.checkpoint import (
-    CheckpointStore,
-    PointJournal,
-    parse_journal_lines,
-    point_key,
-)
+from repro.robust.checkpoint import CheckpointStore, PointJournal, point_key
 from repro.robust.executor import execute_grid, execute_point
 from repro.robust.faults import (
     Fault,
@@ -69,7 +64,6 @@ from repro.robust.supervisor import SupervisorPolicy, execute_grid_supervised
 __all__ = [
     "CheckpointStore",
     "PointJournal",
-    "parse_journal_lines",
     "point_key",
     "execute_grid",
     "execute_point",

@@ -8,13 +8,12 @@ instead of re-executed.
 Keys are a stable SHA-256 of the point's parameters *and* a version
 string (defaulting to the package version), so a code upgrade silently
 invalidates stale checkpoints instead of resuming with mismatched
-results.  The journal is written line-at-a-time and fsynced, so a
-power loss after :meth:`~CheckpointStore.record` returns cannot lose
-the point; a crash *mid*-write at worst truncates the final line,
-which the loader tolerates by discarding it.  Long-lived journals
-accumulate superseded and failed lines; :meth:`~CheckpointStore
-.compact` rewrites the file atomically (temp file + ``os.replace``)
-keeping only the latest useful record per key.
+results.  Each line is fsynced before :meth:`~CheckpointStore.record`
+returns and a torn final line is dropped on load (the durability
+contract is in ``docs/robustness.md``); :meth:`~CheckpointStore.compact`
+atomically rewrites a long-lived journal to its latest useful record
+per key.  The sweep ledger's unsealed tail is a :class:`CheckpointStore`
+too, which makes this class the one writer of point entries.
 
 Journal line schema::
 
@@ -27,18 +26,14 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Protocol, Union
 
+from repro._version import __version__
 from repro.errors import CheckpointError
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.atomicio import append_line, atomic_write_text, iter_json_lines
 
-
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
+logger = logging.getLogger("repro.robust.checkpoint")
 
 
 class PointJournal(Protocol):
@@ -71,48 +66,6 @@ class PointJournal(Protocol):
     ) -> Dict: ...
 
 
-def parse_journal_lines(
-    text: str,
-    source: Union[str, Path],
-    logger: Optional[logging.Logger] = None,
-) -> Iterator[Dict]:
-    """Yield the valid journal entries in ``text``, tolerating damage.
-
-    The shared loader for every JSONL point journal (the checkpoint
-    file, the ledger's ``active.jsonl`` tail): a crash mid-append at
-    worst truncates the final line, and unrelated junk must not poison
-    a resume — both are logged and skipped, and the affected point
-    simply re-simulates.
-    """
-    if logger is None:
-        logger = logging.getLogger("repro.robust.checkpoint")
-    lines = text.splitlines()
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            # A crash mid-write leaves a truncated trailing line;
-            # everything before it is still a valid prefix of the
-            # run.  The dropped point simply re-simulates on resume.
-            logger.warning(
-                "journal %s line %d/%d is not valid JSON "
-                "(likely truncated by a crash mid-write); dropping it, "
-                "the point will be re-simulated",
-                source, number, len(lines),
-            )
-            continue
-        if not isinstance(entry, dict) or "key" not in entry:
-            logger.warning(
-                "journal %s line %d/%d is not a journal entry; "
-                "dropping it", source, number, len(lines),
-            )
-            continue
-        yield entry
-
-
 def point_key(params: Dict, version: str) -> str:
     """Stable content hash of one grid point under one code version."""
     try:
@@ -138,8 +91,10 @@ class CheckpointStore:
         resume: bool = True,
     ):
         self.path = Path(path)
-        self.version = version if version is not None else _package_version()
+        self.version = version if version is not None else __version__
         self._entries: Dict[str, Dict] = {}
+        #: Every line this instance loaded or appended, in journal order.
+        self._lines: List[Dict] = []
         if self.path.exists():
             if self.path.is_dir():
                 raise CheckpointError(f"checkpoint path is a directory: {self.path}")
@@ -148,8 +103,9 @@ class CheckpointStore:
                     f"checkpoint {self.path} already exists; pass resume=True "
                     "(CLI: --resume) to continue it, or remove the file"
                 )
-            self._load()
-            logging.getLogger("repro.robust.checkpoint").info(
+            self._lines = self._read()
+            self._entries = {entry["key"]: entry for entry in self._lines}
+            logger.info(
                 "resuming checkpoint %s: %d completed point(s)",
                 self.path, len(self._entries),
             )
@@ -157,19 +113,25 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _load(self) -> None:
+    def _read(self) -> List[Dict]:
         try:
             text = self.path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return []
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {self.path}: {exc}") from exc
-        for entry in parse_journal_lines(text, self.path):
-            self._entries[entry["key"]] = entry
+        return list(iter_json_lines(text, self.path, logger=logger))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[Dict]:
         return iter(self._entries.values())
+
+    @property
+    def lines(self) -> List[Dict]:
+        """Entries in journal order, superseded ones included."""
+        return list(self._lines)
 
     def key(self, params: Dict) -> str:
         return point_key(params, self.version)
@@ -190,6 +152,27 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def entry(
+        self,
+        params: Dict,
+        status: str,
+        rows: Optional[List[Dict]] = None,
+        attempts: int = 1,
+        duration: float = 0.0,
+        error: Optional[str] = None,
+    ) -> Dict:
+        """The journal entry for one finished point (not yet written)."""
+        return {
+            "key": self.key(params),
+            "version": self.version,
+            "params": params,
+            "status": status,
+            "rows": rows if rows is not None else [],
+            "attempts": attempts,
+            "duration": duration,
+            "error": error,
+        }
+
     def record(
         self,
         params: Dict,
@@ -200,16 +183,10 @@ class CheckpointStore:
         error: Optional[str] = None,
     ) -> Dict:
         """Journal one finished point (successful or exhausted)."""
-        entry = {
-            "key": self.key(params),
-            "version": self.version,
-            "params": params,
-            "status": status,
-            "rows": rows if rows is not None else [],
-            "attempts": attempts,
-            "duration": duration,
-            "error": error,
-        }
+        return self.append(self.entry(params, status, rows, attempts, duration, error))
+
+    def append(self, entry: Dict) -> Dict:
+        """Durably append one :meth:`entry` (fsynced before returning)."""
         try:
             # No sort_keys: row dicts must round-trip with their column
             # order intact so resumed output matches a fresh run.
@@ -217,27 +194,32 @@ class CheckpointStore:
         except TypeError as exc:  # pragma: no cover - default=repr is total
             raise CheckpointError(f"unserializable checkpoint entry: {exc}") from exc
         try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_line(self.path, line)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot append to checkpoint {self.path}: {exc}"
             ) from exc
+        self._lines.append(entry)
         self._entries[entry["key"]] = entry
         return entry
+
+    def _rewrite(self, entries: List[Dict]) -> None:
+        text = "".join(json.dumps(entry, default=repr) + "\n" for entry in entries)
+        try:
+            atomic_write_text(self.path, text)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot rewrite checkpoint {self.path}: {exc}"
+            ) from exc
 
     def compact(self, drop_failed: bool = True) -> int:
         """Rewrite the journal with only the latest record per key.
 
         Re-recorded points leave superseded lines behind, and failed
         points (``drop_failed``) are worth retrying on the next resume
-        rather than replaying as failures.  The rewrite is atomic: a
-        temp file in the same directory is fsynced and then
-        ``os.replace``-d over the journal, so a crash at any instant
-        leaves either the old complete journal or the new one, never a
-        torn file.  Returns the number of journal lines dropped.
+        rather than replaying as failures.  The rewrite is atomic, so a
+        crash at any instant leaves either the old complete journal or
+        the new one.  Returns the number of journal lines dropped.
         """
         if not self.path.exists():
             return 0
@@ -254,12 +236,24 @@ class CheckpointStore:
             for key, entry in self._entries.items()
             if not (drop_failed and entry.get("status") != "ok")
         }
-        text = "".join(json.dumps(entry, default=repr) + "\n" for entry in keep.values())
-        try:
-            atomic_write_text(self.path, text)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot compact checkpoint {self.path}: {exc}"
-            ) from exc
+        self._rewrite(list(keep.values()))
         self._entries = keep
+        self._lines = list(keep.values())
         return len(raw_lines) - len(keep)
+
+    def release(self) -> None:
+        """Drop this instance's lines from the journal and forget them.
+
+        Lines other writers appended since this instance read the file
+        stay, so a journal shared under an external lock (the sweep
+        ledger's tail) loses nothing another process has not sealed.
+        Call under that lock; the rewrite is atomic.
+        """
+        mine = {json.dumps(entry, default=repr) for entry in self._lines}
+        others = [
+            entry for entry in self._read()
+            if json.dumps(entry, default=repr) not in mine
+        ]
+        self._rewrite(others)
+        self._entries = {}
+        self._lines = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
+import pickle
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
@@ -264,6 +265,24 @@ class _GridRun:
         return RunReport(records=self.records)
 
 
+def pickle_problem(
+    fn: Callable[..., object],
+    points: Sequence[Dict],
+    policy: ExecutionPolicy,
+) -> Optional[str]:
+    """Why this grid cannot cross a process boundary, or ``None`` if it can."""
+    for label, obj in (("the point callable", fn), ("the policy", policy)):
+        try:
+            pickle.dumps(obj)
+        except Exception as exc:  # noqa: BLE001 - any failure means fallback
+            return f"{label} is not picklable ({type(exc).__name__}: {exc})"
+    try:
+        pickle.dumps(list(points))
+    except Exception as exc:  # noqa: BLE001
+        return f"the grid points are not picklable ({type(exc).__name__}: {exc})"
+    return None
+
+
 def execute_grid(
     fn: Callable[..., object],
     points: Sequence[Dict],
@@ -332,7 +351,7 @@ def execute_grid(
             supervisor=supervisor,
         )
     if workers > 1:
-        from repro.perf.parallel import execute_grid_parallel, pickle_problem
+        from repro.robust.supervisor import execute_grid_supervised
 
         if sleep is not time.sleep or clock is not time.monotonic:
             logger.warning(
@@ -343,7 +362,7 @@ def execute_grid(
         else:
             problem = pickle_problem(fn, points, policy)
             if problem is None:
-                return execute_grid_parallel(
+                return execute_grid_supervised(
                     fn,
                     points,
                     policy=policy,

@@ -44,6 +44,7 @@ import json
 import logging
 import os
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
@@ -496,7 +497,12 @@ class UnixHTTPServer(ReproHTTPServer):
         path = self.server_address
         if isinstance(path, (str, os.PathLike)) and os.path.exists(path):
             os.unlink(path)  # stale socket from a previous daemon
-        super().server_bind()
+        # Not HTTPServer.server_bind: it reads the path as (host, port)
+        # and resolves its first character with socket.getfqdn, which
+        # raises on "./..." and does a hostname lookup otherwise.
+        socketserver.TCPServer.server_bind(self)
+        self.server_name = os.fsdecode(self.server_address)
+        self.server_port = 0
 
     # http.server expects (host, port) tuples in a few log paths.
     def server_close(self) -> None:

@@ -24,6 +24,8 @@ shares :func:`sweep_measure` instead of keeping its own copy.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Dict, Tuple
 
 from repro.config.hardware import Dataflow
@@ -39,6 +41,11 @@ JOB_KINDS = ("gemm", "run", "sweep")
 #: When set (``repro serve --ledger DIR``), sweep jobs sink their rows
 #: into this columnar ledger and reuse completed points across requests.
 SWEEP_LEDGER_ENV = "REPRO_SWEEP_LEDGER"
+
+#: One lock per sweep-ledger directory, process-wide like the directory:
+#: two sweeps over one ledger would each re-simulate points the other is
+#: pricing, so sweep jobs sharing a ledger run one at a time.
+_LEDGER_LOCKS: Dict[str, threading.Lock] = {}
 
 #: Request fields accepted per kind (beyond "kind" itself).
 _FIELDS = {
@@ -291,9 +298,13 @@ def _execute_run(request: Dict) -> Dict:
     }
 
 
+def _ledger_lock(ledger_dir: str) -> threading.Lock:
+    # dict.setdefault is one atomic step: racing jobs get the same lock.
+    return _LEDGER_LOCKS.setdefault(os.path.realpath(ledger_dir), threading.Lock())
+
+
 def _execute_sweep(request: Dict) -> Dict:
     import functools
-    import os
 
     from repro.sweep import run_sweep_report
 
@@ -307,13 +318,13 @@ def _execute_sweep(request: Dict) -> Dict:
 
     from repro.store.ledger import SweepLedger
 
-    # Each job opens (and closes) the ledger: the daemon serializes
-    # sweep execution per key via single-flight, and reopening keeps
-    # the job layer crash-isolated from long-lived daemon state.
+    # Each job opens (and closes) the ledger under its directory lock:
+    # reopening keeps the job layer crash-isolated from long-lived
+    # daemon state, and the next job sees every point this one sealed.
     version = sweep_ledger_version(
         request["layer"], request["workload"], request["macs"]
     )
-    with SweepLedger(ledger_dir, version=version) as ledger:
+    with _ledger_lock(ledger_dir), SweepLedger(ledger_dir, version=version) as ledger:
         diff = ledger.diff_grid([{"partitions": count} for count in counts])
         rows, report = run_sweep_report(
             measure,

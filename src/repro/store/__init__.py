@@ -2,13 +2,14 @@
 
 Promotes the in-process LRU of :mod:`repro.perf.cache` to a crash-safe
 cross-run cache on disk: identical grid points simulate once, ever.
-See :mod:`repro.store.result_store` for the durability contract and
-:mod:`repro.store.runtime` for how the engine and worker processes
+See :mod:`repro.store.runtime` for how the engine and worker processes
 find the active store.
 
 :mod:`repro.store.ledger` adds the columnar sweep ledger — sealed,
 checksummed segments (:mod:`repro.store.segment`) that make whole
 sweeps durable, corruption-recoverable and incrementally re-runnable.
+Both directories share :mod:`repro.store.durable`; their durability
+contract is in ``docs/robustness.md``.
 """
 
 from repro.store.ledger import (

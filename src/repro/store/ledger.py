@@ -19,30 +19,13 @@ Layout (one directory per ledger)::
       segments/seg-NNNNNN.seg sealed columnar segments
       corrupt/                quarantined segments (evidence preserved)
 
-Durability contract
--------------------
-* **Fsynced record.**  :meth:`~SweepLedger.record` appends the entry to
-  ``active.jsonl`` and fsyncs before returning — a ``kill -9`` one
-  instruction later cannot lose the point.  ``active.jsonl`` uses the
-  checkpoint journal's exact line format, so it *is* the existing JSONL
-  journal, scoped to the unsealed tail.
-* **Atomic seal.**  Every ``segment_entries`` records, the buffer is
-  sealed: the segment publishes via temp file + fsync + ``os.replace``
-  (under ``flock``), the manifest WAL is appended and fsynced, and only
-  then is ``active.jsonl`` truncated.  A crash at *any* instant leaves
-  every entry either in the fsynced active journal, in a complete
-  sealed segment, or (harmlessly) in both — recovery dedups by key.
-* **Self-verifying segments.**  Each segment carries a SHA-256 over its
-  entire payload.  ``open()`` verifies every segment; a torn,
-  truncated or bit-flipped one is quarantined to ``corrupt/`` and its
-  grid points simply drop out of the completed set — the executor
-  re-simulates exactly them, transparently.
-* **Graceful degradation.**  ``ENOSPC``/``EDQUOT``/``EIO`` while
-  sealing flips the ledger to *journal-only* mode: entries keep landing
-  in the fsynced ``active.jsonl`` and the sweep completes; the
-  ``ledger.degraded`` gauge and :meth:`status` surface the condition.
-  If even the journal append fails, the ledger degrades once more to
-  memory-only and the sweep still completes.
+Every :meth:`~SweepLedger.record` is fsynced into ``active.jsonl``
+through a :class:`~repro.robust.checkpoint.CheckpointStore` — that file
+*is* the checkpoint journal, scoped to the unsealed tail — and every
+``segment_entries`` records the tail seals into a segment.  The
+durability contract (shared with the result store and the checkpoint
+journal) and the writer model for ledgers sharing a root are in
+``docs/robustness.md``.
 
 Incremental re-sweep
 --------------------
@@ -73,26 +56,26 @@ into :mod:`repro.obs.metrics`; local counts are always in
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-try:  # pragma: no cover - fcntl is stdlib on POSIX, absent on Windows
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
-from repro.errors import LedgerCorruptionError, StorageError, StoreCorruptionError
-from repro.obs import metrics
-from repro.robust.checkpoint import parse_journal_lines, point_key
+from repro._version import __version__
+from repro.errors import (
+    CheckpointError,
+    LedgerCorruptionError,
+    StorageError,
+    StoreCorruptionError,
+)
+from repro.robust.checkpoint import CheckpointStore, point_key
+from repro.store.durable import DurableRoot
 from repro.store.segment import Segment, encode_segment
 from repro.utils.atomicio import atomic_write_bytes, fsync_directory
 
@@ -128,12 +111,6 @@ _AGGREGATES = {
 }
 
 
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
-
-
 class _SegmentEntry:
     """Lazy reference to one entry living in a sealed segment."""
 
@@ -142,6 +119,10 @@ class _SegmentEntry:
     def __init__(self, segment: Segment, meta: Dict):
         self.segment = segment
         self.meta = meta
+
+    def get(self, name: str, default: object = None) -> object:
+        """Header fields (``status``, ``key``, ...) without decoding rows."""
+        return self.meta.get(name, default)
 
 
 @dataclass(frozen=True)
@@ -168,8 +149,7 @@ class SweepLedger:
     Satisfies the :class:`~repro.robust.checkpoint.PointJournal`
     protocol, so any ``checkpoint=`` site (``execute_grid``,
     ``run_sweep``, the supervised pool) accepts a ledger unchanged.
-    Thread-safe; concurrent processes sharing the root serialize seals
-    on ``flock`` and recover each other's crashes at open.
+    Thread-safe; ``docs/robustness.md`` has the writer model.
     """
 
     def __init__(
@@ -182,36 +162,30 @@ class SweepLedger:
         if segment_entries < 1:
             raise ValueError(f"segment_entries must be >= 1, got {segment_entries}")
         self.root = Path(root)
-        self.version = version if version is not None else _package_version()
+        self.version = version if version is not None else __version__
         self.segment_entries = segment_entries
         self.segments_dir = self.root / "segments"
-        self.corrupt_dir = self.root / "corrupt"
-        self.manifest_path = self.root / "manifest.wal"
         self.active_path = self.root / "active.jsonl"
-        self.lock_path = self.root / "lock"
+        self._durable = DurableRoot(
+            self.root,
+            kind="sweep ledger",
+            prefix="ledger",
+            field="segment",
+            modes=_MODES,
+            counters=("entries", "rows", "sealed", "reused"),
+            writable=writable,
+            timestamps=False,
+            logger=logger,
+        )
+        self.corrupt_dir = self._durable.corrupt_dir
+        self.manifest_path = self._durable.manifest_path
         self._mutex = threading.RLock()
-        self._writable = writable
-        self._mode = MODE_COLUMNAR
-        self.degraded_reason: Optional[str] = None
-        self._counts = {
-            "entries": 0, "rows": 0, "sealed": 0, "reused": 0,
-            "quarantined": 0, "recovered": 0, "errors": 0,
-        }
         self._entries: Dict[str, Union[Dict, _SegmentEntry]] = {}
         self._active: List[Dict] = []
         self._segments: Dict[str, Segment] = {}
         self._next_segment = 0
-        if self.root.exists() and not self.root.is_dir():
-            raise StoreCorruptionError(f"ledger root {self.root} is not a directory")
         if writable:
-            try:
-                self.segments_dir.mkdir(parents=True, exist_ok=True)
-                self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-                self.lock_path.touch(exist_ok=True)
-            except OSError as exc:
-                raise StoreCorruptionError(
-                    f"cannot initialize sweep ledger at {self.root}: {exc}"
-                ) from exc
+            self._durable.create(self.segments_dir)
         self._recover()
         #: Keys that were already durable when this process opened the
         #: ledger — a ``get`` hit on one of them is a cross-run reuse.
@@ -220,32 +194,6 @@ class SweepLedger:
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def _count(self, name: str, delta: int = 1) -> None:
-        with self._mutex:
-            self._counts[name] += delta
-        if metrics.enabled:
-            metrics.counter(f"ledger.{name}").add(delta)
-
-    @contextmanager
-    def _flock(self) -> Iterator[None]:
-        """Serialize writers across processes (best effort without fcntl)."""
-        if fcntl is None or not self._writable:
-            yield
-            return
-        try:
-            handle = self.lock_path.open("a")
-        except OSError:
-            yield
-            return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
-
     def _maybe_crash(
         self, point: str, torn: Optional[Tuple[Path, bytes]] = None
     ) -> None:
@@ -261,19 +209,6 @@ class SweepLedger:
                 pass
         os._exit(137)
 
-    def _degrade(self, mode: str, reason: str) -> None:
-        """Step down the durability ladder; the sweep always completes."""
-        self._count("errors")
-        if _MODES.index(mode) <= _MODES.index(self._mode):
-            return
-        self._mode = mode
-        self.degraded_reason = reason
-        if metrics.enabled:
-            metrics.gauge("ledger.degraded").set(_MODES.index(mode))
-        logger.warning(
-            "sweep ledger %s degraded to %s mode: %s", self.root, mode, reason
-        )
-
     def _note_segment_name(self, name: str) -> None:
         match = _SEGMENT_NAME.fullmatch(name)
         if match:
@@ -282,110 +217,48 @@ class SweepLedger:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _manifest_segments(self) -> Dict[str, str]:
-        """Latest manifest op per segment name, tolerating a torn tail."""
-        ops: Dict[str, str] = {}
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except OSError:
-            return ops
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # crash mid-append truncated this line
-            if isinstance(entry, dict) and isinstance(entry.get("segment"), str):
-                ops[entry["segment"]] = str(entry.get("op", ""))
-        return ops
-
-    def _append_manifest(self, entry: Dict) -> None:
-        entry = {**entry, "pid": os.getpid()}
-        with self.manifest_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
     def _recover(self) -> None:
-        """Repair after a crash; safe (and run) at every open.
-
-        Orphaned temp files are dropped, every sealed segment is
-        checksum-verified (corrupt ones quarantined — their points fall
-        out of the completed set and re-simulate), segments that
-        published but died before their WAL append are re-journalled,
-        and the unsealed ``active.jsonl`` tail is re-buffered with
-        already-sealed duplicates dropped.
-        """
-        repairs = {"orphan_tmp": 0, "rejournaled": 0, "quarantined": 0}
-        with self._flock():
-            if self._writable and self.segments_dir.is_dir():
-                # Live writers hold the flock while their temp file
-                # exists, so anything visible here is a crash orphan.
-                for tmp in self.segments_dir.glob(".*.tmp"):
-                    try:
-                        tmp.unlink()
-                        repairs["orphan_tmp"] += 1
-                    except OSError:  # pragma: no cover - raced another opener
-                        pass
-            if self.corrupt_dir.is_dir():
-                for path in self.corrupt_dir.iterdir():
-                    self._note_segment_name(path.name.split(".seg")[0] + ".seg")
-            journalled = self._manifest_segments()
-            if self.segments_dir.is_dir():
-                for path in sorted(self.segments_dir.glob("seg-*.seg")):
-                    self._note_segment_name(path.name)
-                    try:
-                        segment = Segment(path)
-                    except LedgerCorruptionError as exc:
-                        self._quarantine_locked(path, str(exc))
-                        repairs["quarantined"] += 1
-                        continue
-                    self._segments[path.name] = segment
-                    for meta in segment.entry_metas():
-                        self._entries[meta["key"]] = _SegmentEntry(segment, meta)
-                    if self._writable and journalled.get(path.name) != "seal":
-                        try:
-                            self._append_manifest({
-                                "op": "seal", "segment": path.name,
-                                "sha256": segment.sha256, "recovered": True,
-                            })
-                            repairs["rejournaled"] += 1
-                        except OSError as exc:
-                            self._degrade(
-                                MODE_JOURNAL, f"manifest recovery failed: {exc}"
-                            )
-        self._load_active()
-        total = sum(repairs.values())
-        if total:
-            self._count("recovered", total)
-            logger.info(
-                "ledger recovery at %s: %d orphan temp file(s), "
-                "%d segment(s) re-journalled, %d quarantined",
-                self.root, repairs["orphan_tmp"],
-                repairs["rejournaled"], repairs["quarantined"],
-            )
-
-    def _load_active(self) -> None:
-        """Re-buffer the unsealed tail, dropping already-sealed copies."""
+        """Repair after a crash (run at every open): reconcile the sealed
+        segments against the manifest, then re-buffer the unsealed tail
+        with already-sealed duplicates dropped."""
+        for path in self.quarantined():
+            self._note_segment_name(path.name.split(".seg")[0] + ".seg")
+        self._durable.reconcile(
+            # Segment temps, plus the temp of an interrupted tail cut.
+            chain(self.segments_dir.glob(".*.tmp"), self.root.glob(".*.tmp")),
+            self._load_segments(),
+            op="seal",
+        )
         try:
-            text = self.active_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        except OSError as exc:
-            logger.warning("cannot read %s: %s", self.active_path, exc)
-            return
-        for entry in parse_journal_lines(text, self.active_path, logger):
+            self._tail = CheckpointStore(self.active_path, version=self.version)
+        except CheckpointError as exc:
+            raise StoreCorruptionError(
+                f"cannot read the journal of sweep ledger {self.root}: {exc}"
+            ) from exc
+        for entry in self._tail.lines:
             sealed = self._entries.get(entry["key"])
-            if isinstance(sealed, _SegmentEntry):
-                # A crash between the manifest append and the active-
-                # journal truncate leaves sealed entries behind in the
-                # tail; the sealed copy is durable, skip the duplicate.
-                if self._same_entry(sealed, entry):
-                    continue
+            if isinstance(sealed, _SegmentEntry) and self._same_entry(sealed, entry):
+                # A crash between the manifest append and the tail cut
+                # leaves sealed entries behind in the tail; the sealed
+                # copy is durable, skip the duplicate.
+                continue
             self._entries[entry["key"]] = entry
             self._active.append(entry)
+
+    def _load_segments(self) -> Iterator[Tuple[str, Dict]]:
+        """Verify and index every sealed segment, quarantining corrupt
+        ones; yields the sound ones for the manifest reconcile."""
+        for path in self.segments():
+            self._note_segment_name(path.name)
+            try:
+                segment = Segment(path)
+            except LedgerCorruptionError as exc:
+                self._durable.quarantine(path, path.name, str(exc))
+                continue
+            self._segments[path.name] = segment
+            for meta in segment.entry_metas():
+                self._entries[meta["key"]] = _SegmentEntry(segment, meta)
+            yield path.name, {"sha256": segment.sha256}
 
     @staticmethod
     def _same_entry(sealed: _SegmentEntry, entry: Dict) -> bool:
@@ -393,49 +266,6 @@ class SweepLedger:
             return sealed.segment.entry(sealed.meta) == entry
         except Exception:  # pragma: no cover - defensive: prefer re-seal
             return False
-
-    def _quarantine_locked(self, path: Path, reason: str) -> Optional[Path]:
-        """Move a corrupt segment into ``corrupt/``; never raises."""
-        destination: Optional[Path] = None
-        for attempt in range(100):
-            candidate = self.corrupt_dir / f"{path.name}.{attempt}"
-            if not candidate.exists():
-                destination = candidate
-                break
-        if not self._writable:
-            logger.warning(
-                "corrupt ledger segment %s (%s); read-only open, "
-                "skipping it", path.name, reason,
-            )
-            self._count("quarantined")
-            return None
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            if destination is None:
-                raise OSError("quarantine namespace exhausted")
-            os.replace(path, destination)
-        except OSError:
-            destination = None
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._count("quarantined")
-        if metrics.enabled:
-            metrics.counter("ledger.corrupt_detected").add()
-        logger.warning(
-            "quarantined corrupt ledger segment %s (%s)%s; its points "
-            "will be re-simulated",
-            path.name, reason,
-            f" -> {destination}" if destination else "",
-        )
-        try:
-            self._append_manifest(
-                {"op": "quarantine", "segment": path.name, "reason": reason}
-            )
-        except OSError as exc:
-            self._degrade(MODE_JOURNAL, f"manifest append failed: {exc}")
-        return destination
 
     # ------------------------------------------------------------------
     # PointJournal protocol (checkpoint-compatible)
@@ -456,32 +286,17 @@ class SweepLedger:
         with self._mutex:
             entry = self._materialize(key)
         if entry is not None and key in self._loaded_keys:
-            self._count("reused")
+            self._durable.count("reused")
         return entry
 
     def completed(self, params: Dict) -> bool:
         """True when ``params`` already finished successfully (status ok)."""
         entry = self._entries.get(self.key(params))
-        if entry is None:
-            return False
-        status = (
-            entry.meta.get("status")
-            if isinstance(entry, _SegmentEntry)
-            else entry.get("status")
-        )
-        return status == "ok"
+        return entry is not None and entry.get("status") == "ok"
 
     @property
     def completed_count(self) -> int:
-        count = 0
-        for entry in self._entries.values():
-            status = (
-                entry.meta.get("status")
-                if isinstance(entry, _SegmentEntry)
-                else entry.get("status")
-            )
-            count += status == "ok"
-        return count
+        return sum(entry.get("status") == "ok" for entry in self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -508,44 +323,30 @@ class SweepLedger:
         columnar segment.  Storage failures degrade the ledger instead
         of failing the sweep.
         """
-        if not self._writable:
+        if not self.writable:
             raise StoreCorruptionError(
                 f"sweep ledger {self.root} was opened read-only"
             )
-        entry = {
-            "key": self.key(params),
-            "version": self.version,
-            "params": params,
-            "status": status,
-            "rows": rows if rows is not None else [],
-            "attempts": attempts,
-            "duration": duration,
-            "error": error,
-        }
+        entry = self._tail.entry(params, status, rows, attempts, duration, error)
         with self._mutex:
-            self._append_active(entry)
+            if self.mode != MODE_MEMORY:
+                try:
+                    # Under the flock: a seal cutting the shared tail
+                    # must see every line appended before it.
+                    with self._durable.lock():
+                        self._tail.append(entry)
+                except CheckpointError as exc:
+                    self._durable.degrade(
+                        MODE_MEMORY, f"active journal append failed: {exc}"
+                    )
+                self._maybe_crash("after-record")
             self._entries[entry["key"]] = entry
             self._active.append(entry)
-            self._count("entries")
-            self._count("rows", len(entry["rows"]))
-            if self._mode == MODE_COLUMNAR and len(self._active) >= self.segment_entries:
+            self._durable.count("entries")
+            self._durable.count("rows", len(entry["rows"]))
+            if self.mode == MODE_COLUMNAR and len(self._active) >= self.segment_entries:
                 self._seal_locked()
         return entry
-
-    def _append_active(self, entry: Dict) -> None:
-        if self._mode == MODE_MEMORY:
-            return
-        # No sort_keys, same as the checkpoint journal: row dicts must
-        # round-trip with their column order intact.
-        line = json.dumps(entry, default=repr)
-        try:
-            with self.active_path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            self._degrade(MODE_MEMORY, f"active journal append failed: {exc}")
-        self._maybe_crash("after-record")
 
     # ------------------------------------------------------------------
     # Sealing
@@ -561,55 +362,54 @@ class SweepLedger:
             return self._seal_locked()
 
     def _seal_locked(self) -> Optional[str]:
-        if not self._active or self._mode != MODE_COLUMNAR or not self._writable:
+        if not self._active or not self._durable.durable:
             return None
-        name = f"seg-{self._next_segment:06d}.seg"
-        path = self.segments_dir / name
         entries = len(self._active)
         rows = sum(len(entry.get("rows") or []) for entry in self._active)
         try:
             payload = encode_segment(self._active, version=self.version)
-            self._maybe_crash("before-segment-publish")
-            self._maybe_crash("mid-segment-publish", torn=(path, payload))
-            with self._flock():
+            with self._durable.lock():
+                # Named under the flock: another writer sharing the root
+                # may have sealed since this ledger last looked.
+                for existing in self.segments():
+                    self._note_segment_name(existing.name)
+                name = f"seg-{self._next_segment:06d}.seg"
+                path = self.segments_dir / name
+                self._maybe_crash("before-segment-publish")
+                self._maybe_crash("mid-segment-publish", torn=(path, payload))
                 atomic_write_bytes(path, payload)
                 fsync_directory(self.segments_dir)
                 self._maybe_crash("after-segment-before-manifest")
-                self._append_manifest({
+                self._durable.append_manifest({
                     "op": "seal",
                     "segment": name,
                     "sha256": hashlib.sha256(payload).hexdigest(),
                     "entries": entries,
                     "rows": rows,
                 })
-            self._maybe_crash("after-manifest-before-truncate")
+                self._maybe_crash("after-manifest-before-truncate")
+                try:
+                    self._tail.release()
+                except CheckpointError as exc:
+                    # Benign: the sealed copies dedup the stale tail at
+                    # the next open.  Don't degrade a ledger that just
+                    # sealed fine.
+                    logger.warning("cannot cut %s: %s", self.active_path, exc)
         except (StorageError, OSError) as exc:
-            self._degrade(MODE_JOURNAL, f"segment publish failed: {exc}")
+            self._durable.degrade(MODE_JOURNAL, f"segment publish failed: {exc}")
             return None
-        self._next_segment += 1
-        self._count("sealed")
+        self._durable.count("sealed")
         try:
             self._segments[name] = Segment(path)
         except LedgerCorruptionError as exc:  # pragma: no cover - just sealed
             logger.warning("freshly sealed segment %s unreadable: %s", name, exc)
         self._active = []
-        self._truncate_active()
         return name
-
-    def _truncate_active(self) -> None:
-        try:
-            with self.active_path.open("w", encoding="utf-8") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            # Benign: the sealed copies dedup the stale tail at the
-            # next open.  Don't degrade a ledger that just sealed fine.
-            logger.warning("cannot truncate %s: %s", self.active_path, exc)
 
     def close(self) -> None:
         """Seal the buffered tail (writable ledgers) and unmap segments."""
         with self._mutex:
-            if self._writable:
+            if self.writable:
                 self._seal_locked()
             for segment in self._segments.values():
                 segment.close()
@@ -654,10 +454,10 @@ class SweepLedger:
         unsealed tail, in stable entry order."""
         chunks: List[Tuple[Optional[Segment], object, Optional[Dict]]] = []
         for entry in self._entries.values():
+            if entry.get("status") not in statuses:
+                continue
             if isinstance(entry, _SegmentEntry):
                 meta = entry.meta
-                if meta.get("status") not in statuses:
-                    continue
                 count = len(meta.get("row_schema_ids") or ())
                 if count:
                     start = meta["row_start"]
@@ -665,8 +465,6 @@ class SweepLedger:
                         (entry.segment, np.arange(start, start + count), meta)
                     )
             else:
-                if entry.get("status") not in statuses:
-                    continue
                 rows = entry.get("rows") or []
                 if rows:
                     chunks.append((None, rows, None))
@@ -802,15 +600,17 @@ class SweepLedger:
     # ------------------------------------------------------------------
     @property
     def writable(self) -> bool:
-        return self._writable
+        return self._durable.writable
 
     @property
     def mode(self) -> str:
-        return self._mode
+        return self._durable.mode
+
+    @property
+    def degraded_reason(self) -> Optional[str]:
+        return self._durable.degraded_reason
 
     def segments(self) -> List[Path]:
-        if not self.segments_dir.is_dir():
-            return []
         return sorted(self.segments_dir.glob("seg-*.seg"))
 
     def quarantined(self) -> List[Path]:
@@ -821,12 +621,12 @@ class SweepLedger:
     def status(self) -> Dict:
         """Health snapshot for the CLI, ``/health`` and tests."""
         with self._mutex:
-            counts = dict(self._counts)
+            counts = self._durable.counts()
             pending = len(self._active)
         return {
             "root": str(self.root),
             "version": self.version,
-            "mode": self._mode,
+            "mode": self.mode,
             "degraded_reason": self.degraded_reason,
             "entries": len(self._entries),
             "completed": self.completed_count,

@@ -13,34 +13,11 @@ Layout (one directory per store)::
       entries/<k0k1>/<key>.json
       corrupt/<key>.<n>.json   quarantined records (never re-read)
 
-Durability contract
--------------------
-* **Atomic publish.**  Every entry lands via
-  :func:`repro.utils.atomicio.atomic_write_text` (temp file in the
-  shard directory + fsync + ``os.replace``) followed by a directory
-  fsync, so a reader observes either a complete record or a miss —
-  never a partial file, even across ``kill -9`` or power loss.
-* **Self-verifying records.**  Each record carries a schema version and
-  a SHA-256 checksum of its canonical payload.  A bit-flipped, torn,
-  truncated or schema-stale record is *detected on read*, moved to the
-  ``corrupt/`` sidecar (preserving the evidence), counted, and reported
-  as a miss — the caller transparently recomputes, and the next put
-  heals the entry.  Corruption can never poison results.
-* **Recoverable journal.**  ``manifest.wal`` is appended (fsynced)
-  after each publish.  :meth:`ResultStore.recover` — run on every
-  writable open — deletes orphaned temp files left by a crash mid-write
-  and re-journals entries that published but died before their WAL
-  append, so the manifest converges to the truth instead of diverging
-  after a ``kill -9``.
-* **Concurrent writers.**  Publishes take an ``flock`` on ``<root>/
-  lock`` (best effort where ``fcntl`` is unavailable); the atomic
-  rename makes same-key races safe regardless — last complete record
-  wins, both are valid.
-* **Graceful degradation.**  ``ENOSPC``/``EIO``/vanished directories
-  during a put flip the store to **compute-only mode** (reads continue,
-  writes stop, one warning is logged) instead of failing the
-  simulation; :meth:`status` surfaces the degradation for health
-  endpoints.
+Records are self-verifying (schema version + SHA-256 of the payload): a
+corrupt one is quarantined and reported as a miss, so the caller
+recomputes and the next put heals it.  The durability contract, shared
+with the sweep ledger and the checkpoint journal, is in
+``docs/robustness.md``.
 
 Observability: ``store.hits`` / ``store.misses`` / ``store.writes`` /
 ``store.quarantined`` / ``store.errors`` / ``store.recovered`` counters
@@ -53,20 +30,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-try:  # pragma: no cover - fcntl is stdlib on POSIX, absent on Windows
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
+from repro._version import __version__
 from repro.errors import StorageError, StoreCorruptionError
-from repro.obs import metrics
+from repro.store.durable import DurableRoot
 from repro.utils.atomicio import atomic_write_text, fsync_directory
 
 logger = logging.getLogger("repro.store")
@@ -78,11 +48,8 @@ SCHEMA_VERSION = 1
 #: :func:`repro.obs.config_hash` (16 chars) or any sha256 prefix.
 _KEY_CHARS = set("0123456789abcdef")
 
-
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
+MODE_READWRITE = "readwrite"
+MODE_COMPUTE_ONLY = "compute-only"
 
 
 def payload_checksum(payload: Dict) -> str:
@@ -102,10 +69,10 @@ def valid_key(key: str) -> bool:
 class ResultStore:
     """One content-addressed store rooted at a directory.
 
-    Thread-safe; multiple processes may share the same root (see the
-    module docstring for the concurrency contract).  ``writable=False``
-    opens a read-only view that never mutates the directory — useful
-    for inspection tooling.
+    Thread-safe; multiple processes may share the same root (see
+    ``docs/robustness.md`` for the durability contract).
+    ``writable=False`` opens a read-only view that never mutates the
+    directory — useful for inspection tooling.
     """
 
     def __init__(
@@ -115,62 +82,27 @@ class ResultStore:
         version: Optional[str] = None,
     ):
         self.root = Path(root)
-        self.version = version if version is not None else _package_version()
+        self.version = version if version is not None else __version__
         self.entries_dir = self.root / "entries"
-        self.corrupt_dir = self.root / "corrupt"
-        self.manifest_path = self.root / "manifest.wal"
-        self.lock_path = self.root / "lock"
-        self._mutex = threading.Lock()
-        self._writable = writable
-        self.degraded_reason: Optional[str] = None
-        self._counts = {
-            "hits": 0, "misses": 0, "writes": 0,
-            "quarantined": 0, "errors": 0, "recovered": 0,
-        }
-        if self.root.exists() and not self.root.is_dir():
-            raise StoreCorruptionError(f"store root {self.root} is not a directory")
+        self._durable = DurableRoot(
+            self.root,
+            kind="result store",
+            prefix="store",
+            field="key",
+            modes=(MODE_READWRITE, MODE_COMPUTE_ONLY),
+            counters=("hits", "misses", "writes"),
+            writable=writable,
+            timestamps=True,
+            logger=logger,
+        )
+        self.corrupt_dir = self._durable.corrupt_dir
+        self.manifest_path = self._durable.manifest_path
         if writable:
-            try:
-                self.entries_dir.mkdir(parents=True, exist_ok=True)
-                self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-                self.lock_path.touch(exist_ok=True)
-            except OSError as exc:
-                raise StoreCorruptionError(
-                    f"cannot initialize result store at {self.root}: {exc}"
-                ) from exc
+            self._durable.create(self.entries_dir)
             self.recover()
-
-    # ------------------------------------------------------------------
-    # Bookkeeping helpers
-    # ------------------------------------------------------------------
-    def _count(self, name: str, delta: int = 1) -> None:
-        with self._mutex:
-            self._counts[name] += delta
-        if metrics.enabled:
-            metrics.counter(f"store.{name}").add(delta)
 
     def entry_path(self, key: str) -> Path:
         return self.entries_dir / key[:2] / f"{key}.json"
-
-    @contextmanager
-    def _flock(self) -> Iterator[None]:
-        """Serialize writers across processes (best effort without fcntl)."""
-        if fcntl is None or not self._writable:
-            yield
-            return
-        try:
-            handle = self.lock_path.open("a")
-        except OSError:
-            yield
-            return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
 
     # ------------------------------------------------------------------
     # Reads
@@ -182,54 +114,45 @@ class ResultStore:
         stale schema, checksum mismatch — is quarantined and reported
         as a miss so the caller recomputes.
         """
-        path = self.entry_path(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            payload, problem = self._check(key)
         except FileNotFoundError:
-            self._count("misses")
-            return None
+            payload, problem = None, None
         except OSError as exc:
-            self._count("errors")
+            self._durable.count("errors")
             logger.warning("store read failed for %s: %s", key, exc)
-            self._count("misses")
-            return None
-        problem = None
-        record: Optional[Dict] = None
-        try:
-            loaded = json.loads(text)
-            record = loaded if isinstance(loaded, dict) else None
-        except json.JSONDecodeError as exc:
-            problem = f"unparsable JSON ({exc})"
-        if problem is None:
-            problem = self._validate(key, record)
+            payload, problem = None, None
         if problem is not None:
             self.quarantine(key, problem)
-            self._count("misses")
-            return None
-        return self._hit(record)
+        self._durable.count("misses" if payload is None else "hits")
+        return payload
 
-    def _hit(self, record: Dict) -> Dict:
-        self._count("hits")
-        return record["payload"]
+    def _check(self, key: str) -> Tuple[Optional[Dict], Optional[str]]:
+        """``(payload, None)`` for a sound record, else ``(None, why)``.
 
-    def _validate(self, key: str, record: Optional[Dict]) -> Optional[str]:
-        """Why ``record`` must not be trusted, or ``None`` if it is sound."""
-        if record is None:
-            return "record is not a JSON object"
+        Raises ``OSError`` when the record cannot be read at all.
+        """
+        text = self.entry_path(key).read_text(encoding="utf-8")
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            return None, f"unparsable JSON ({exc})"
+        if not isinstance(record, dict):
+            return None, "record is not a JSON object"
         if record.get("schema") != SCHEMA_VERSION:
-            return f"stale schema {record.get('schema')!r} (want {SCHEMA_VERSION})"
+            return None, f"stale schema {record.get('schema')!r} (want {SCHEMA_VERSION})"
         if record.get("key") != key:
-            return f"key mismatch (record says {record.get('key')!r})"
+            return None, f"key mismatch (record says {record.get('key')!r})"
         payload = record.get("payload")
         if not isinstance(payload, dict):
-            return "missing payload"
+            return None, "missing payload"
         checksum = payload_checksum(payload)
         if record.get("checksum") != checksum:
-            return (
+            return None, (
                 f"checksum mismatch (recorded {record.get('checksum')!r}, "
                 f"computed {checksum!r})"
             )
-        return None
+        return payload, None
 
     def __contains__(self, key: str) -> bool:
         return self.entry_path(key).exists()
@@ -253,13 +176,13 @@ class ResultStore:
         """Durably publish ``payload`` under ``key``.
 
         Returns ``True`` when the entry landed, ``False`` when the
-        store is (or just became) compute-only.  Storage failures
-        degrade the store instead of raising; programming errors
-        (invalid key, unserializable payload) still raise.
+        store is read-only or (just became) compute-only.  Storage
+        failures degrade the store instead of raising; programming
+        errors (invalid key, unserializable payload) still raise.
         """
         if not valid_key(key):
             raise StoreCorruptionError(f"invalid store key {key!r}")
-        if not self._writable:
+        if not self.writable:
             return False
         record = {
             "schema": SCHEMA_VERSION,
@@ -274,111 +197,38 @@ class ResultStore:
         text = json.dumps(record, separators=(",", ":"))
         path = self.entry_path(key)
         try:
-            with self._flock():
+            with self._durable.lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
                 atomic_write_text(path, text)
                 fsync_directory(path.parent)
-                self._append_manifest(
+                self._durable.append_manifest(
                     {"op": "put", "key": key, "checksum": record["checksum"]}
                 )
         except (StorageError, OSError) as exc:
-            self._degrade(f"put {key} failed: {exc}")
+            self._durable.degrade(MODE_COMPUTE_ONLY, f"put {key} failed: {exc}")
             return False
-        self._count("writes")
+        self._durable.count("writes")
         return True
 
-    def _append_manifest(self, entry: Dict) -> None:
-        entry = {**entry, "ts": time.time(), "pid": os.getpid()}
-        with self.manifest_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _degrade(self, reason: str) -> None:
-        """Flip to compute-only mode; simulation continues without persistence."""
-        self._count("errors")
-        if self._writable:
-            self._writable = False
-            self.degraded_reason = reason
-            if metrics.enabled:
-                metrics.gauge("store.degraded").set(1)
-            logger.warning(
-                "result store %s degraded to compute-only mode: %s",
-                self.root, reason,
-            )
-
     # ------------------------------------------------------------------
-    # Quarantine
+    # Quarantine, recovery and verification
     # ------------------------------------------------------------------
     def quarantine(self, key: str, reason: str) -> Optional[Path]:
         """Move ``key``'s record into ``corrupt/`` (evidence preserved).
 
-        Never raises: if even the quarantine move fails, the entry is
-        unlinked so it cannot be re-read, and failing that it is simply
-        left behind (the next ``get`` re-detects it).
+        Never raises; a read-only view only logs the corruption.
         """
-        path = self.entry_path(key)
-        destination: Optional[Path] = None
-        for attempt in range(100):
-            candidate = self.corrupt_dir / f"{key}.{attempt}.json"
-            if not candidate.exists():
-                destination = candidate
-                break
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            if destination is None:
-                raise OSError("quarantine namespace exhausted")
-            os.replace(path, destination)
-        except OSError:
-            destination = None
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._count("quarantined")
-        if metrics.enabled:
-            metrics.counter("store.corrupt_detected").add()
-        logger.warning(
-            "quarantined corrupt store entry %s (%s)%s",
-            key, reason,
-            f" -> {destination}" if destination else "",
-        )
-        if self._writable:
-            try:
-                with self._flock():
-                    self._append_manifest(
-                        {"op": "quarantine", "key": key, "reason": reason}
-                    )
-            except OSError as exc:
-                self._degrade(f"manifest append failed: {exc}")
-        return destination
+        with self._durable.lock():
+            return self._durable.quarantine(
+                self.entry_path(key), key, reason, suffix=".json"
+            )
 
     def quarantined(self) -> List[Path]:
-        if not self.corrupt_dir.is_dir():
-            return []
         return sorted(self.corrupt_dir.glob("*.json"))
 
-    # ------------------------------------------------------------------
-    # Recovery & verification
-    # ------------------------------------------------------------------
     def manifest_keys(self) -> Dict[str, str]:
         """Latest manifest op per key, tolerating a torn final line."""
-        ops: Dict[str, str] = {}
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except OSError:
-            return ops
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # crash mid-append truncated this line
-            if isinstance(entry, dict) and isinstance(entry.get("key"), str):
-                ops[entry["key"]] = str(entry.get("op", ""))
-        return ops
+        return self._durable.manifest_ops()
 
     def recover(self) -> Dict[str, int]:
         """Repair after a crash: drop orphan temp files, heal the manifest.
@@ -386,39 +236,11 @@ class ResultStore:
         Returns counts of what was repaired.  Safe to run at every
         open; a clean store is a no-op.
         """
-        repairs = {"orphan_tmp": 0, "rejournaled": 0}
-        if self.entries_dir.is_dir():
-            # Under the flock: live writers hold it while their temp file
-            # exists, so anything visible here is a genuine crash orphan.
-            with self._flock():
-                for tmp in self.entries_dir.glob("*/.*.tmp"):
-                    try:
-                        tmp.unlink()
-                        repairs["orphan_tmp"] += 1
-                    except OSError:  # pragma: no cover - raced with another opener
-                        pass
-        journalled = self.manifest_keys()
-        missing = [
-            key for key in self.keys()
-            if journalled.get(key) != "put"
-        ]
-        for key in missing:
-            try:
-                with self._flock():
-                    self._append_manifest({"op": "put", "key": key, "recovered": True})
-                repairs["rejournaled"] += 1
-            except OSError as exc:
-                self._degrade(f"manifest recovery failed: {exc}")
-                break
-        total = sum(repairs.values())
-        if total:
-            self._count("recovered", total)
-            logger.info(
-                "store recovery at %s: %d orphan temp file(s) removed, "
-                "%d entry(ies) re-journalled",
-                self.root, repairs["orphan_tmp"], repairs["rejournaled"],
-            )
-        return repairs
+        return self._durable.reconcile(
+            self.entries_dir.glob("*/.*.tmp"),
+            ((key, {}) for key in list(self.keys())),
+            op="put",
+        )
 
     def verify(self) -> Dict[str, int]:
         """Deep-check every entry; quarantine the ones that fail.
@@ -429,13 +251,9 @@ class ResultStore:
         summary = {"checked": 0, "ok": 0, "quarantined": 0}
         for key in list(self.keys()):
             summary["checked"] += 1
-            path = self.entry_path(key)
-            problem: Optional[str]
             try:
-                loaded = json.loads(path.read_text(encoding="utf-8"))
-                record = loaded if isinstance(loaded, dict) else None
-                problem = self._validate(key, record)
-            except (OSError, json.JSONDecodeError) as exc:
+                _, problem = self._check(key)
+            except OSError as exc:
                 problem = f"unreadable ({exc})"
             if problem is None:
                 summary["ok"] += 1
@@ -449,19 +267,26 @@ class ResultStore:
     # ------------------------------------------------------------------
     @property
     def writable(self) -> bool:
-        return self._writable
+        """Opened writable and not degraded to compute-only."""
+        return self._durable.durable
+
+    @property
+    def degraded_reason(self) -> Optional[str]:
+        return self._durable.degraded_reason
+
+    @degraded_reason.setter
+    def degraded_reason(self, reason: Optional[str]) -> None:
+        self._durable.degraded_reason = reason
 
     def status(self) -> Dict:
         """Health snapshot for ``/health`` and the CLI."""
-        with self._mutex:
-            counts = dict(self._counts)
         return {
             "root": str(self.root),
             "schema": SCHEMA_VERSION,
             "version": self.version,
             "entries": len(self),
             "corrupt": len(self.quarantined()),
-            "mode": "readwrite" if self._writable else "compute-only",
+            "mode": MODE_READWRITE if self.writable else MODE_COMPUTE_ONLY,
             "degraded_reason": self.degraded_reason,
-            **counts,
+            **self._durable.counts(),
         }

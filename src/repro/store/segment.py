@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro._version import __version__
 from repro.errors import LedgerCorruptionError
 from repro.utils.atomicio import atomic_write_bytes
 
@@ -82,12 +83,6 @@ _FOOTER_LEN = _CHECKSUM_LEN + len(FOOTER_MAGIC)
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
 
 
 def _align8(offset: int) -> int:
@@ -141,7 +136,7 @@ def encode_segment(entries: Sequence[Dict], version: Optional[str] = None) -> by
     """
     if not entries:
         raise ValueError("a segment needs at least one entry")
-    default_version = version if version is not None else _package_version()
+    default_version = version if version is not None else __version__
 
     # Flatten every row, remembering each row's own key order (its
     # schema) so reconstruction preserves per-row column ordering.

@@ -1,0 +1,85 @@
+"""Import edges the package layering forbids.
+
+Each forbidden edge is checked over every ``import`` statement in the
+package, lazy imports inside functions included:
+
+* ``repro.robust`` sits below the sweep and service layers and knows
+  nothing of the store (the ledger depends on its checkpoint journal,
+  not the other way round);
+* ``repro.utils`` is the bottom layer and only raises ``repro.errors``;
+* ``repro.store`` never reaches up into the layers that drive it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+FORBIDDEN = {
+    "repro.robust": ("repro.perf", "repro.store", "repro.serve", "repro.sweep"),
+    "repro.store": (
+        "repro.serve", "repro.sweep", "repro.perf", "repro.verify", "repro.cli",
+    ),
+}
+
+#: The only package ``repro.utils`` may import.
+UTILS_ALLOWED = ("repro.errors",)
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def _imports(path: Path):
+    """Every absolute ``repro`` module ``path`` imports, anywhere."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        yield from (name for name in names if _within(name, "repro"))
+
+
+def _edges(package: str):
+    for path in sorted((SRC / package.split(".")[1]).rglob("*.py")):
+        for target in _imports(path):
+            yield _module_name(path), target
+
+
+@pytest.mark.parametrize("package", sorted(FORBIDDEN))
+def test_no_upward_imports(package):
+    bad = [
+        (source, target)
+        for source, target in _edges(package)
+        if any(_within(target, banned) for banned in FORBIDDEN[package])
+    ]
+    assert bad == []
+
+
+def test_utils_imports_only_errors():
+    bad = [
+        (source, target)
+        for source, target in _edges("repro.utils")
+        if not _within(target, "repro.utils")
+        and not any(_within(target, allowed) for allowed in UTILS_ALLOWED)
+    ]
+    assert bad == []
+
+
+def test_edges_are_found():
+    # Guard the walker itself: a lazy import inside a function counts.
+    assert ("repro.robust.executor", "repro.robust.supervisor") in set(
+        _edges("repro.robust")
+    )

@@ -84,6 +84,21 @@ class TestHistory:
         assert entries[0]["benches"]["gemm_256"]["wall_time_s"] == 0.01
         assert entries[0]["benches"]["gemm_256"]["counters"] == {"sim.cycles": 100}
 
+    def test_record_fsyncs_the_history_file(self, tmp_path, monkeypatch):
+        import os
+
+        path = tmp_path / "history.jsonl"
+        synced = []
+        real = os.fsync
+
+        def counting(fd):
+            synced.append(os.fstat(fd).st_ino)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        record(path, [BenchResult("gemm_256", 0.01, {})])
+        assert path.stat().st_ino in synced  # the line, not just the directory
+
     def test_missing_history_is_empty(self, tmp_path):
         assert load_history(tmp_path / "nope.jsonl") == []
 

@@ -19,10 +19,9 @@ import time
 import pytest
 
 from repro.robust.checkpoint import CheckpointStore
-from repro.robust.executor import execute_grid
+from repro.robust.executor import execute_grid, pickle_problem
 from repro.robust.policy import ExecutionPolicy
 from repro.robust.report import STATUS_CACHED, STATUS_FAILED, STATUS_OK, STATUS_SKIPPED
-from repro.perf.parallel import pickle_problem
 from repro.sweep import _CheckedCallable, run_sweep, run_sweep_report, sweep_to_csv
 
 WORKERS = 2

@@ -445,6 +445,23 @@ def test_unix_socket_round_trip(tmp_path):
     assert not (tmp_path / "repro.sock").exists()  # socket cleaned up
 
 
+def test_unix_socket_relative_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    service = SimulationService(ServicePolicy(workers=1))
+    server = make_server(service, socket_path="./rel.sock")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert ServiceClient(socket_path="./rel.sock").health()["status"] == "ok"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.drain(timeout=5)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert not (tmp_path / "rel.sock").exists()
+
+
 def test_client_retry_honours_retry_after(monkeypatch):
     calls = []
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ServiceError
+from repro.serve import jobs
 from repro.serve.jobs import (
+    SWEEP_LEDGER_ENV,
     execute_job,
     job_key,
     normalize_request,
     square_grid,
+    sweep_ledger_version,
     sweep_measure,
 )
+from repro.store.ledger import SweepLedger
 from repro.workloads.language import TABLE_IV_DIMS, language_layer
 
 
@@ -77,6 +83,47 @@ def test_execute_sweep_matches_direct_measure():
     # The report row carries extra sweep columns; the physics must agree.
     assert body["rows"][1]["cycles"] == direct["cycles"]
     assert body["rows"][1]["array"] == direct["array"]
+
+
+def test_concurrent_sweeps_on_one_ledger_price_each_point_once(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv(SWEEP_LEDGER_ENV, str(tmp_path / "ledger"))
+    calls = []
+    overlap = threading.Barrier(2, timeout=1.0)
+
+    def measure(partitions, layer=None, macs=0):
+        try:
+            overlap.wait()  # hold both jobs mid-sweep whenever they can overlap
+        except threading.BrokenBarrierError:
+            pass
+        calls.append(partitions)
+        return sweep_measure(partitions, layer=layer, macs=macs)
+
+    monkeypatch.setattr(jobs, "sweep_measure", measure)
+    requests = [
+        normalize_request(
+            {"kind": "sweep", "layer": "GNMT1", "macs": 1024, "partitions": counts}
+        )
+        for counts in ([1, 4], [4, 16])
+    ]
+    bodies = [None, None]
+
+    def run(index):
+        bodies[index] = execute_job(requests[index])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert sorted(calls) == [1, 4, 16]  # the shared point is priced once
+    assert sum(body["ledger"]["simulated"] for body in bodies) == 3
+    version = sweep_ledger_version("GNMT1", requests[0]["workload"], 1024)
+    with SweepLedger(tmp_path / "ledger", version=version) as ledger:
+        assert ledger.completed_count == 3
 
 
 def test_square_grid_prefers_square_factorizations():

@@ -11,6 +11,8 @@ journal as an ``execute_grid`` sink.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -214,7 +216,7 @@ def test_unjournalled_segment_is_rejournalled(tmp_path):
     (tmp_path / "led" / "manifest.wal").unlink()
     reopened = SweepLedger(tmp_path / "led", version="test")
     assert reopened.completed_count == 2
-    ops = reopened._manifest_segments()
+    ops = reopened._durable.manifest_ops()
     assert ops == {"seg-000000.seg": "seal"}
     reopened.close()
 
@@ -259,6 +261,64 @@ def test_quarantine_names_never_collide(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Writers sharing one root
+# ----------------------------------------------------------------------
+
+def test_two_writers_never_seal_over_each_other(tmp_path):
+    first = SweepLedger(tmp_path / "led", version="v", segment_entries=4)
+    second = SweepLedger(tmp_path / "led", version="v", segment_entries=4)
+    fill(first, 4)  # seals seg-000000
+    fill(second, 4, start=4)  # must pick the next free name, not overwrite
+    first.close()
+    second.close()
+    reopened = SweepLedger(tmp_path / "led", version="v")
+    assert len(reopened.segments()) == 2
+    assert reopened.completed_count == 8
+    reopened.close()
+
+
+def test_seal_keeps_other_writers_tail_lines(tmp_path):
+    sealer = SweepLedger(tmp_path / "led", version="v", segment_entries=4)
+    other = SweepLedger(tmp_path / "led", version="v", segment_entries=4)
+    fill(other, 1, start=9)  # fsynced into the shared tail, not sealed
+    fill(sealer, 4)  # seals and cuts the tail
+    # The other writer dies before sealing (no close): its point must
+    # still be durable in the tail.
+    reopened = SweepLedger(tmp_path / "led", version="v")
+    assert reopened.completed({"partitions": 9})
+    assert reopened.completed_count == 5
+    reopened.close()
+    sealer.close()
+
+
+def test_concurrent_writers_lose_no_point(tmp_path):
+    writers, points = 4, 10  # more writers than cores, seals interleaved
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ledgers = [
+            SweepLedger(tmp_path / "led", version="v", segment_entries=3)
+            for _ in range(writers)
+        ]
+        threads = [
+            threading.Thread(target=fill, args=(led, points, n * points))
+            for n, led in enumerate(ledgers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for led in ledgers[::2]:
+            led.close()  # the others die unsealed; their tails must survive
+    finally:
+        sys.setswitchinterval(interval)
+    reopened = SweepLedger(tmp_path / "led", version="v")
+    assert reopened.completed_count == writers * points
+    reopened.close()
+
+
+# ----------------------------------------------------------------------
 # Graceful degradation
 # ----------------------------------------------------------------------
 
@@ -288,7 +348,7 @@ def test_active_append_failure_degrades_to_memory(ledger, monkeypatch):
     def explode(self, entry):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(SweepLedger, "_append_active", explode)
+    monkeypatch.setattr(CheckpointStore, "append", explode)
     # record() still succeeds: the sweep completes, durability is gone.
     monkeypatch.undo()
     real_open = ledger.active_path.open

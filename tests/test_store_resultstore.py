@@ -83,12 +83,31 @@ def test_reopened_store_still_hits(tmp_path):
     assert ResultStore(tmp_path / "s").get(KEY) == PAYLOAD
 
 
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
+
+
 def test_read_only_view_never_writes(tmp_path):
-    ResultStore(tmp_path / "s").put(KEY, PAYLOAD)
+    writer = ResultStore(tmp_path / "s")
+    writer.put(KEY, PAYLOAD)
+    corrupt = "00112233aabbccdd"
+    writer.put(corrupt, PAYLOAD)
+    path = writer.entry_path(corrupt)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"123", raw.index(b'"payload"'))] ^= 0x01
+    path.write_bytes(bytes(raw))
+    before = _tree(tmp_path / "s")
+
     view = ResultStore(tmp_path / "s", writable=False)
     assert view.get(KEY) == PAYLOAD
     assert not view.put(OTHER, PAYLOAD)
     assert view.get(OTHER) is None
+    assert view.get(corrupt) is None  # detected, reported as a miss
+    assert view.status()["quarantined"] == 1
+    assert _tree(tmp_path / "s") == before  # but nothing moved
 
 
 # ----------------------------------------------------------------------
