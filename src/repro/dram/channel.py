@@ -5,12 +5,23 @@ serviced in arrival order with a bounded first-ready (FR-FCFS-style)
 reorder window: among the oldest ``window`` pending requests, a row hit
 is preferred over the queue head, which keeps streams from thrashing
 open rows without starving anyone for long.
+
+Two implementations of the same scheduler live here:
+
+* :func:`service_columns` runs in production: :class:`DramSimulator`
+  hands it one channel's requests as columns (cycle, bank, row,
+  is_write) and it returns only the sums the statistics need, keeping
+  the reorder window as a short list of indices;
+* :class:`Channel` is the scalar reference: one object per request, the
+  whole queue as a list.  It is the readable statement of the timing
+  rules, and the tests and the ``dram`` verify property hold the
+  columnar scheduler bit-identical to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.dram.request import DramAccess, decode
 from repro.dram.timing import DramTiming
@@ -125,3 +136,99 @@ class Channel:
         return ServicedRequest(
             request=request, start_cycle=start, finish_cycle=finish, row_hit=row_hit
         )
+
+
+class ChannelTotals(NamedTuple):
+    """What :func:`service_columns` sums over one channel's requests."""
+
+    row_hits: int
+    finish_sum: int  # sum of finish cycles; minus the arrivals = latency
+    last_finish: int
+
+
+def service_columns(
+    timing: DramTiming,
+    window: int,
+    cycles: Sequence[int],
+    banks: Sequence[int],
+    rows: Sequence[int],
+    writes: Sequence[bool],
+    latencies: Optional[List[int]] = None,
+) -> ChannelTotals:
+    """Service one channel's requests, given as columns sorted by arrival.
+
+    Bit-identical to :meth:`Channel.service` on the same requests: the
+    pending queue is ``pending`` (the oldest ``window`` indices) followed
+    by the unread indices from ``cursor`` on, so picking in ``pending``
+    is picking in the queue's reorder window.  Bank state is kept in
+    flat per-bank lists.  With ``latencies`` given, each request's
+    latency is appended to it in service order.
+    """
+    t_cl, t_rcd, t_rp, t_ras = timing.t_cl, timing.t_rcd, timing.t_rp, timing.t_ras
+    t_burst, t_refi, t_rfc, t_wtr = timing.t_burst, timing.t_refi, timing.t_rfc, timing.t_wtr
+    open_row: List[Optional[int]] = [None] * timing.banks_per_channel
+    ready = [0] * timing.banks_per_channel
+    activated = [0] * timing.banks_per_channel
+    bus_free = 0
+    last_was_write = False
+    row_hits = finish_sum = 0
+
+    count = len(cycles)
+    pending = list(range(min(max(1, window), count)))
+    cursor = len(pending)
+    for _ in range(count):
+        # FR-FCFS pick, as Channel._pick: the first row hit among the
+        # window's requests that arrived by the horizon, else the head.
+        index = pending[0]
+        bank, row = banks[index], rows[index]
+        if open_row[bank] != row:
+            horizon = bus_free if bus_free > cycles[index] else cycles[index]
+            for other in pending:
+                if cycles[other] > horizon:
+                    break
+                if open_row[banks[other]] == rows[other]:
+                    index = other
+                    bank, row = banks[index], rows[index]
+                    break
+        pending.remove(index)
+        if cursor < count:
+            pending.append(cursor)
+            cursor += 1
+
+        # Execute, as Channel._execute.  A refresh skip moves a cycle c
+        # with c >= t_refi and c % t_refi < t_rfc to the blackout's end.
+        cycle, is_write = cycles[index], writes[index]
+        start = ready[bank]
+        if cycle > start:
+            start = cycle
+        if t_refi and start >= t_refi and start % t_refi < t_rfc:
+            start += t_rfc - start % t_refi
+        opened = open_row[bank]
+        if opened == row:
+            row_hits += 1
+        else:
+            if opened is not None:
+                precharge = activated[bank] + t_ras
+                if precharge > start:
+                    start = precharge
+                start += t_rp
+            start += t_rcd
+            if t_refi and start >= t_refi and start % t_refi < t_rfc:
+                start += t_rfc - start % t_refi
+            open_row[bank] = row
+            activated[bank] = start
+        data_start = start + t_cl
+        bus_ready = bus_free + t_wtr if last_was_write and not is_write else bus_free
+        if bus_ready > data_start:
+            data_start = bus_ready
+        if t_refi and data_start >= t_refi and data_start % t_refi < t_rfc:
+            data_start += t_rfc - data_start % t_refi
+        bus_free = data_start + t_burst
+        last_was_write = is_write
+        ready[bank] = data_start
+        finish_sum += bus_free
+        if latencies is not None:
+            latencies.append(bus_free - cycle)
+    # Each finish is at least t_burst past the previous one, so the
+    # request serviced last finishes last.
+    return ChannelTotals(row_hits, finish_sum, bus_free)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Tuple
 
-from repro.dram.channel import Channel, ServicedRequest
-from repro.dram.request import DramAccess, decode
+import numpy as np
+
+from repro.dram.channel import service_columns
+from repro.dram.request import DramAccess, decode_columns
 from repro.dram.timing import DDR4_2400_LIKE, DramTiming
 from repro.errors import DramError
 from repro.obs import metrics, trace
@@ -52,55 +54,83 @@ class DramSimulator:
         self.reorder_window = reorder_window
 
     def run(self, requests: Iterable[DramAccess]) -> DramStats:
-        """Service the whole trace and return aggregate statistics."""
-        all_requests = list(requests)
-        if not all_requests:
+        """Service the whole trace and return aggregate statistics.
+
+        The trace is read once into columns and decoded in one numpy
+        pass; a stable sort on (channel, cycle) then hands each channel
+        its requests in arrival order, as :meth:`Channel.service` would
+        see them, and :func:`service_columns` schedules them.
+        """
+        cycles, addresses, writes = _columns(requests)
+        if not len(cycles):
             raise DramError("empty DRAM trace")
+        timing = self.timing
 
         with trace.span(
             "dram.run",
-            requests=len(all_requests),
-            channels=self.timing.num_channels,
+            requests=len(cycles),
+            channels=timing.num_channels,
         ):
-            per_channel: List[List[DramAccess]] = [
-                [] for _ in range(self.timing.num_channels)
-            ]
-            for request in all_requests:
-                per_channel[decode(request.address, self.timing).channel].append(request)
-
-            serviced: List[ServicedRequest] = []
-            for channel_requests in per_channel:
-                if not channel_requests:
+            channels, banks, rows = decode_columns(addresses, timing)
+            order = np.lexsort((cycles, channels))
+            bounds = np.searchsorted(
+                channels[order], np.arange(timing.num_channels + 1)
+            ).tolist()
+            latencies: Optional[List[int]] = [] if metrics.enabled else None
+            row_hits = finish_sum = last_finish = 0
+            for lo, hi in zip(bounds, bounds[1:]):
+                if lo == hi:
                     continue
-                channel = Channel(self.timing, window=self.reorder_window)
-                serviced.extend(channel.service(channel_requests))
+                mine = order[lo:hi]
+                totals = service_columns(
+                    timing,
+                    self.reorder_window,
+                    cycles[mine].tolist(),
+                    banks[mine].tolist(),
+                    rows[mine].tolist(),
+                    writes[mine].tolist(),
+                    latencies,
+                )
+                row_hits += totals.row_hits
+                finish_sum += totals.finish_sum
+                last_finish = max(last_finish, totals.last_finish)
 
-        if metrics.enabled:
-            metrics.counter("dram.requests").add(len(serviced))
-            metrics.counter("dram.row_hits").add(
-                sum(1 for item in serviced if item.row_hit)
-            )
-            metrics.counter("dram.bytes_moved").add(
-                len(serviced) * self.timing.line_bytes
-            )
-            metrics.counter("dram.stall_cycles").add(
-                sum(item.latency for item in serviced)
-            )
+        num_requests = len(cycles)
+        num_writes = int(np.count_nonzero(writes))
+        total_latency = finish_sum - sum(cycles.tolist())  # Python ints: no int64 wrap
+        bytes_moved = num_requests * timing.line_bytes
+        if latencies is not None:
+            metrics.counter("dram.requests").add(num_requests)
+            metrics.counter("dram.row_hits").add(row_hits)
+            metrics.counter("dram.bytes_moved").add(bytes_moved)
+            metrics.counter("dram.stall_cycles").add(total_latency)
             latency = metrics.histogram("dram.request_latency")
-            for item in serviced:
-                latency.observe(item.latency)
+            for value in latencies:
+                latency.observe(value)
 
         return DramStats(
-            num_requests=len(serviced),
-            num_reads=sum(1 for item in serviced if not item.request.is_write),
-            num_writes=sum(1 for item in serviced if item.request.is_write),
-            first_cycle=min(item.request.cycle for item in serviced),
-            last_finish_cycle=max(item.finish_cycle for item in serviced),
-            total_latency=sum(item.latency for item in serviced),
-            row_hits=sum(1 for item in serviced if item.row_hit),
-            bytes_moved=len(serviced) * self.timing.line_bytes,
+            num_requests=num_requests,
+            num_reads=num_requests - num_writes,
+            num_writes=num_writes,
+            first_cycle=int(cycles.min()),
+            last_finish_cycle=last_finish,
+            total_latency=total_latency,
+            row_hits=row_hits,
+            bytes_moved=bytes_moved,
         )
 
     def sustainable(self, demanded_bandwidth: float) -> bool:
         """Quick feasibility check against the device's peak bandwidth."""
         return demanded_bandwidth <= self.timing.peak_bandwidth
+
+
+def _columns(requests: Iterable[DramAccess]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a trace once into int64 cycle and address and bool write columns."""
+    trace_list = list(requests)
+    try:
+        cycles = np.array([item.cycle for item in trace_list], dtype=np.int64)
+        addresses = np.array([item.address for item in trace_list], dtype=np.int64)
+    except OverflowError as exc:
+        raise DramError(f"DRAM trace cycle or address outside int64: {exc}") from exc
+    writes = np.array([bool(item.is_write) for item in trace_list], dtype=bool)
+    return cycles, addresses, writes

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, Tuple, Union
+
+import numpy as np
 
 from repro.dataflow.base import AddressLayout, DataflowEngine
 from repro.memory.bandwidth import DramTraffic
@@ -66,46 +68,55 @@ def dram_request_stream(
     Addresses walk each operand region sequentially (prefetches are
     bulk, linear transfers in SCALE-Sim's model); request timestamps
     spread each fold's transfer uniformly over the fold it overlaps
-    with.  The stream is suitable for :class:`repro.dram.DramSimulator`.
+    with.  The stream is ordered by (cycle, is_write, address) and is
+    suitable for :class:`repro.dram.DramSimulator`.
     """
     if line_bytes <= 0:
         raise ValueError(f"line_bytes must be positive, got {line_bytes}")
-    fold_cycles = traffic.fold_cycles
-    fold_starts: List[int] = [0]
-    for cycles in fold_cycles[:-1]:
-        fold_starts.append(fold_starts[-1] + cycles)
-    total_cycles = fold_starts[-1] + fold_cycles[-1]
+    fold_cycles = np.asarray(traffic.fold_cycles, dtype=np.int64)
+    fold_starts = np.cumsum(fold_cycles) - fold_cycles
+    total_cycles = int(fold_starts[-1] + fold_cycles[-1])
 
-    read_cursor = {"ifmap": layout.ifmap_offset, "filter": layout.filter_offset}
-    write_cursor = layout.ofmap_offset
+    # Fold 0 prefetches before execution (cold start at cycle 0); fold k
+    # prefetches during fold k-1.  Fold k's outputs drain during fold
+    # k+1, or right after the end.
+    read_starts = np.concatenate(([0], fold_starts[:-1]))
+    read_lens = np.concatenate((fold_cycles[:1], fold_cycles[:-1]))
+    drain_starts = np.concatenate((fold_starts[1:], [total_cycles]))
+    drain_lens = np.concatenate((fold_cycles[1:], fold_cycles[-1:]))
 
-    per_fold_reads = [
-        (("ifmap", i_bytes), ("filter", f_bytes))
-        for i_bytes, f_bytes in zip(traffic.ifmap.per_fold_bytes, traffic.filter.per_fold_bytes)
-    ]
-    write_bytes_per_fold = list(traffic.ofmap_per_fold_bytes)
+    streams = (
+        (traffic.ifmap.per_fold_bytes, read_starts, read_lens, layout.ifmap_offset, False),
+        (traffic.filter.per_fold_bytes, read_starts, read_lens, layout.filter_offset, False),
+        (traffic.ofmap_per_fold_bytes, drain_starts, drain_lens, layout.ofmap_offset, True),
+    )
+    cycles, addresses, writes = [], [], []
+    for per_fold_bytes, starts, lens, offset, is_write in streams:
+        # Each operand walks its region sequentially, line by line.
+        lines = -(-np.asarray(per_fold_bytes, dtype=np.int64) // line_bytes)
+        count = int(lines.sum())
+        cycles.append(_spread(starts, lens, lines))
+        addresses.append(offset + line_bytes * np.arange(count, dtype=np.int64))
+        writes.append(np.full(count, is_write))
+    cycles, addresses, writes = (
+        np.concatenate(column) for column in (cycles, addresses, writes)
+    )
 
-    events: List[DramRequest] = []
-    for k, reads in enumerate(per_fold_reads):
-        # Fold 0 prefetches before execution (cold start at cycle 0);
-        # fold k prefetches during fold k-1.
-        window_start = 0 if k == 0 else fold_starts[k - 1]
-        window_len = fold_cycles[0] if k == 0 else fold_cycles[k - 1]
-        for stream, nbytes in reads:
-            lines = -(-nbytes // line_bytes) if nbytes else 0
-            for j in range(lines):
-                cycle = window_start + (j * window_len) // max(lines, 1)
-                events.append(DramRequest(cycle, read_cursor[stream], False))
-                read_cursor[stream] += line_bytes
-        # Fold k's outputs drain during fold k+1 (or right after the end).
-        wb = write_bytes_per_fold[k]
-        drain_start = fold_starts[k + 1] if k + 1 < len(fold_starts) else total_cycles
-        drain_len = fold_cycles[k + 1] if k + 1 < len(fold_cycles) else fold_cycles[-1]
-        lines = -(-wb // line_bytes) if wb else 0
-        for j in range(lines):
-            cycle = drain_start + (j * drain_len) // max(lines, 1)
-            events.append(DramRequest(cycle, write_cursor, True))
-            write_cursor += line_bytes
-
-    events.sort(key=lambda req: (req.cycle, req.is_write, req.address))
+    order = np.lexsort((addresses, writes, cycles))
+    events = list(
+        map(
+            DramRequest,
+            cycles[order].tolist(),
+            addresses[order].tolist(),
+            writes[order].tolist(),
+        )
+    )
     return iter(events)
+
+
+def _spread(starts: np.ndarray, lens: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Cycle of line ``j`` of each fold segment: ``start + j * len // lines``."""
+    segment = np.repeat(np.arange(len(lines)), lines)
+    first_line = np.cumsum(lines) - lines
+    j = np.arange(len(segment), dtype=np.int64) - first_line[segment]
+    return starts[segment] + (j * lens[segment]) // lines[segment]

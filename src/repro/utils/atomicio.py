@@ -123,11 +123,17 @@ def append_line(path: Union[str, Path], line: str) -> None:
     Once this returns the line survives a crash (and, once the file's
     directory entry is durable, a power loss); a crash *during* the call
     at worst leaves a torn final line, which :func:`iter_json_lines`
-    drops.  ``OSError`` propagates unchanged so
-    each journal can apply its own failure policy.
+    drops.  A torn line left by an earlier crash is terminated first,
+    so the new line never glues onto it.  ``OSError`` propagates
+    unchanged so each journal can apply its own failure policy.
     """
-    with Path(path).open("a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+    payload = (line + "\n").encode("utf-8")
+    with Path(path).open("ab+") as handle:
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                payload = b"\n" + payload
+        handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
 

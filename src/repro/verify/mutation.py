@@ -4,7 +4,8 @@ A verification harness that never fires is indistinguishable from one
 that cannot fire.  Each :class:`Mutant` here installs one seeded,
 realistic defect — an off-by-one in the analytical runtime, a cache
 key that forgets the dataflow, a degraded-mode prediction that drifts,
-a shape-class aggregation that drops a class — and then runs the very
+a shape-class aggregation that drops a class, a DRAM scheduler that
+skips the write-to-read turnaround — and then runs the very
 same :func:`~repro.verify.harness.run_verify` loop against it.  Every
 mutant must be *killed* (detected, shrunk and bundled); any survivor
 fails the smoke with :class:`~repro.errors.VerificationError`.
@@ -85,6 +86,21 @@ def _patch_shape_class_drop() -> ContextManager:
     )
 
 
+def _patch_dram_drop_wtr() -> ContextManager:
+    """The columnar DRAM scheduler forgets the write-to-read turnaround."""
+    import dataclasses
+    import unittest.mock as mock
+
+    import repro.dram.simulator as simulator
+
+    real = simulator.service_columns
+    return mock.patch.object(
+        simulator,
+        "service_columns",
+        lambda timing, *args: real(dataclasses.replace(timing, t_wtr=0), *args),
+    )
+
+
 @dataclass(frozen=True)
 class Mutant:
     """One seeded defect and the properties expected to kill it."""
@@ -119,6 +135,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         _patch_shape_class_drop,
         ("shape_classes",),
         "shape-class aggregation drops a fold population",
+    ),
+    Mutant(
+        "dram-drop-wtr",
+        _patch_dram_drop_wtr,
+        ("dram",),
+        "columnar DRAM scheduler skips the write-to-read bus turnaround",
     ),
 )
 

@@ -19,6 +19,10 @@ model predicts the absolute numbers:
 * ``vectorized`` — the numpy sweep-compiler kernels
   (:mod:`repro.analytical.vectorized`) are bit-identical to the scalar
   analytical model (rel_tol 0);
+* ``dram`` — the columnar DRAM replay (:class:`repro.dram.DramSimulator`)
+  is bit-identical to the scalar reference channel on the case's layer
+  trace and on a seeded random trace, across channels, refresh and
+  reorder windows;
 * ``serial_parallel`` — a worker-pool sweep is row-identical to the
   serial walk (session-level: runs once per harness invocation);
 * ``parser_topology`` / ``parser_config`` — adversarial parser inputs
@@ -31,12 +35,20 @@ shrinker and the regression-corpus replayer can address it by name.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
+import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.parser import parse_config_text
+from repro.dram.channel import Channel
+from repro.dram.request import DramAccess, decode
+from repro.dram.simulator import DramSimulator, DramStats
+from repro.dram.timing import DramTiming
 from repro.engine.simulator import Simulator
+from repro.engine.tracefiles import dram_request_stream
 from repro.errors import ConfigError, ReproError, TopologyError
 from repro.memory.bandwidth import compute_dram_traffic
 from repro.perf.cache import cache
@@ -357,6 +369,119 @@ def prop_vectorized(case: VerifyCase) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# DRAM replay: columnar scheduler vs. the scalar reference channel
+# ----------------------------------------------------------------------
+#: Layer-trace prefix the ``dram`` property replays.
+_DRAM_LAYER_REQUESTS = 4096
+
+
+def scalar_dram_replay(
+    timing: DramTiming, reorder_window: int, requests: Sequence[DramAccess]
+) -> Tuple[DramStats, List[int]]:
+    """Replay ``requests`` through the scalar reference :class:`Channel`.
+
+    Routes each request by :func:`~repro.dram.request.decode`, services
+    every channel with its own ``Channel`` and returns the
+    :class:`~repro.dram.simulator.DramStats` that ``DramSimulator.run``
+    must equal, plus every latency channel by channel in service order
+    (the order the simulator feeds ``dram.request_latency``).
+    """
+    per_channel: List[List[DramAccess]] = [[] for _ in range(timing.num_channels)]
+    for request in requests:
+        per_channel[decode(request.address, timing).channel].append(request)
+    serviced = []
+    for channel_requests in per_channel:
+        if channel_requests:
+            channel = Channel(timing, window=reorder_window)
+            serviced.extend(channel.service(channel_requests))
+    stats = DramStats(
+        num_requests=len(serviced),
+        num_reads=sum(1 for item in serviced if not item.request.is_write),
+        num_writes=sum(1 for item in serviced if item.request.is_write),
+        first_cycle=min(item.request.cycle for item in serviced),
+        last_finish_cycle=max(item.finish_cycle for item in serviced),
+        total_latency=sum(item.latency for item in serviced),
+        row_hits=sum(1 for item in serviced if item.row_hit),
+        bytes_moved=len(serviced) * timing.line_bytes,
+    )
+    return stats, [item.latency for item in serviced]
+
+
+def random_dram_trace(case: VerifyCase) -> List[DramAccess]:
+    """A seeded trace with same-cycle ties, same-row bursts and ~30% writes.
+
+    Seeded by the case and sized by its GEMM dims, so shrinking a case
+    also shrinks its trace.  It starts anywhere in the first three
+    refresh intervals, so short traces meet blackouts too, and a few
+    requests arrive out of order to exercise the stable arrival sort.
+    """
+    rng = random.Random(repr(("dram", case)))
+    count = min(_DRAM_LAYER_REQUESTS, 32 + 2 * (case.m + case.k + case.n))
+    cycle = rng.randrange(3 * DramTiming.t_refi)
+    address = 0
+    trace = []
+    for _ in range(count):
+        if rng.random() < 0.4:  # otherwise a tie with the previous cycle
+            cycle += rng.randint(1, 40)
+        if rng.random() < 0.6:
+            # A burst: stride 1/2/4 lines walks the channels and banks,
+            # 16/32/64 lines stays in one bank's row at 1/2/4 channels.
+            address += 64 * rng.choice((1, 2, 4, 16, 32, 64))
+        else:
+            address = 64 * rng.randrange(1 << 16)
+        arrival = cycle - rng.randint(1, 60) if rng.random() < 0.05 else cycle
+        trace.append(DramAccess(max(0, arrival), address, rng.random() < 0.3))
+    return trace
+
+
+def prop_dram(case: VerifyCase) -> List[Violation]:
+    """``DramSimulator.run`` equals the scalar reference on every field.
+
+    Replays the first requests of the case's layer trace (lowered the
+    way ``repro dram`` lowers it) and a seeded random trace over
+    {1, 2, 4} channels x {default, no} refresh x reorder window {1, 8},
+    comparing every :class:`DramStats` field at rel_tol 0.
+    """
+    config = case.scaleup_config()
+    sim = Simulator(config, loop_order=case.loop_order)
+    layer = case.layer()
+    traffic = compute_dram_traffic(
+        sim.engine(layer), sim.buffers, config.word_bytes, loop_order=case.loop_order
+    )
+    layer_trace = list(
+        itertools.islice(
+            dram_request_stream(traffic, sim.address_layout(layer)),
+            _DRAM_LAYER_REQUESTS,
+        )
+    )
+    for name, requests in (("layer", layer_trace), ("random", random_dram_trace(case))):
+        for channels, t_refi, window in itertools.product(
+            (1, 2, 4), (DramTiming.t_refi, 0), (1, 8)
+        ):
+            timing = DramTiming(num_channels=channels, t_refi=t_refi)
+            expected, _ = scalar_dram_replay(timing, window, requests)
+            actual = DramSimulator(timing, reorder_window=window).run(requests)
+            if actual != expected:
+                field = next(
+                    f.name for f in dataclasses.fields(expected)
+                    if getattr(actual, f.name) != getattr(expected, f.name)
+                )
+                return [
+                    Violation(
+                        prop="dram",
+                        message=f"{name} trace ({len(requests)} requests), "
+                                f"{channels} channel(s), t_refi={t_refi}, "
+                                f"window {window}: DramStats.{field} differs "
+                                "from the scalar channel",
+                        expected=getattr(expected, field),
+                        actual=getattr(actual, field),
+                        case=case,
+                    )
+                ]
+    return []
+
+
+# ----------------------------------------------------------------------
 # Session property: serial vs. parallel sweep byte-identity
 # ----------------------------------------------------------------------
 def prop_serial_parallel(_case: Optional[VerifyCase] = None) -> List[Violation]:
@@ -485,6 +610,8 @@ PROPERTIES: Dict[str, Property] = {
                  "cold == memoized == cache-off; store codec round-trips"),
         Property("vectorized", "case", prop_vectorized,
                  "vectorized numpy kernels bit-identical to the scalar model"),
+        Property("dram", "case", prop_dram,
+                 "columnar DRAM replay bit-identical to the scalar channel"),
         Property("serial_parallel", "session", prop_serial_parallel,
                  "2-worker sweep row-identical to serial (runs once)"),
         Property("parser_topology", "text-topology", check_topology_text,

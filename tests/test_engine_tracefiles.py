@@ -5,7 +5,7 @@ import pytest
 from repro.config.hardware import Dataflow, HardwareConfig
 from repro.dataflow.base import AddressLayout
 from repro.dataflow.factory import engine_for_gemm
-from repro.engine.tracefiles import dram_request_stream, write_sram_trace_csv
+from repro.engine.tracefiles import DramRequest, dram_request_stream, write_sram_trace_csv
 from repro.memory.bandwidth import compute_dram_traffic
 from repro.memory.buffers import BufferSet
 
@@ -81,3 +81,51 @@ class TestDramRequestStream:
         requests = list(dram_request_stream(traffic, AddressLayout(m=64, k=32, n=48)))
         write_addrs = [req.address for req in requests if req.is_write]
         assert write_addrs == sorted(write_addrs)
+
+    @pytest.mark.parametrize("loop_order", ["row", "col"])
+    @pytest.mark.parametrize("line_bytes", [16, 64, 100])
+    def test_same_sequence_as_the_fold_walk(self, dataflow, loop_order, line_bytes):
+        engine = engine_for_gemm(37, 29, 43, dataflow, 8, 6)
+        config = HardwareConfig(ifmap_sram_kb=1, filter_sram_kb=2, ofmap_sram_kb=1)
+        traffic = compute_dram_traffic(
+            engine, BufferSet.from_config(config), 2, loop_order=loop_order
+        )
+        layout = AddressLayout(
+            m=37, k=29, n=43, ifmap_offset=0, filter_offset=5000, ofmap_offset=9000
+        )
+        assert list(dram_request_stream(traffic, layout, line_bytes)) == fold_walk_stream(
+            traffic, layout, line_bytes
+        )
+
+
+def fold_walk_stream(traffic, layout, line_bytes):
+    """The stream built one fold and one line at a time."""
+    fold_cycles = traffic.fold_cycles
+    fold_starts = [0]
+    for cycles in fold_cycles[:-1]:
+        fold_starts.append(fold_starts[-1] + cycles)
+    total_cycles = fold_starts[-1] + fold_cycles[-1]
+    cursor = {"ifmap": layout.ifmap_offset, "filter": layout.filter_offset}
+    write_cursor = layout.ofmap_offset
+    events = []
+    for k, (i_bytes, f_bytes) in enumerate(
+        zip(traffic.ifmap.per_fold_bytes, traffic.filter.per_fold_bytes)
+    ):
+        window_start = 0 if k == 0 else fold_starts[k - 1]
+        window_len = fold_cycles[0] if k == 0 else fold_cycles[k - 1]
+        for stream, nbytes in (("ifmap", i_bytes), ("filter", f_bytes)):
+            lines = -(-nbytes // line_bytes)
+            for j in range(lines):
+                cycle = window_start + (j * window_len) // lines
+                events.append(DramRequest(cycle, cursor[stream], False))
+                cursor[stream] += line_bytes
+        last = k + 1 == len(fold_cycles)
+        drain_start = total_cycles if last else fold_starts[k + 1]
+        drain_len = fold_cycles[-1] if last else fold_cycles[k + 1]
+        lines = -(-traffic.ofmap_per_fold_bytes[k] // line_bytes)
+        for j in range(lines):
+            cycle = drain_start + (j * drain_len) // lines
+            events.append(DramRequest(cycle, write_cursor, True))
+            write_cursor += line_bytes
+    events.sort(key=lambda req: (req.cycle, req.is_write, req.address))
+    return events

@@ -12,16 +12,24 @@ from repro.robust.checkpoint import CheckpointStore, point_key
 
 @contextlib.contextmanager
 def _capture_checkpoint_warnings(caplog):
-    # The CLI may set repro's logger to propagate=False; attach the
-    # capture handler to the source logger directly (same idiom as
-    # tests/test_perf_parallel.py).
+    """Yield a list that receives each distinct record logged inside.
+
+    The CLI may set repro's logger to propagate=False; attach the
+    capture handler to the source logger directly (same idiom as
+    tests/test_perf_parallel.py).  While the logger still propagates,
+    caplog's root handler receives the same record a second time, so
+    records are kept once per object: a program that warned twice
+    still shows two.
+    """
     checkpoint_logger = logging.getLogger("repro.robust.checkpoint")
     checkpoint_logger.addHandler(caplog.handler)
+    records = []
     try:
         with caplog.at_level(logging.WARNING, logger="repro.robust.checkpoint"):
-            yield
+            yield records
     finally:
         checkpoint_logger.removeHandler(caplog.handler)
+    records.extend({id(record): record for record in caplog.records}.values())
 
 
 class TestPointKey:
@@ -73,18 +81,31 @@ class TestStore:
         with path.open("a") as handle:
             handle.write('{"key": "deadbeef", "status"')  # crash mid-write
 
-        with _capture_checkpoint_warnings(caplog):
+        with _capture_checkpoint_warnings(caplog) as records:
             CheckpointStore(path, version="v1")
-        dropped = [r for r in caplog.records if "re-simulated" in r.getMessage()]
+        dropped = [r for r in records if "re-simulated" in r.getMessage()]
         assert len(dropped) == 1
         assert "line 2/2" in dropped[0].getMessage()
+
+    def test_append_after_torn_tail_stays_readable(self, tmp_path):
+        """A crash mid-append must not swallow the next acknowledged point."""
+        path = tmp_path / "run.jsonl"
+        CheckpointStore(path, version="v1").record({"a": 1}, status="ok")
+        with path.open("a") as handle:
+            handle.write('{"key": "deadbeef", "status"')  # crash mid-write
+
+        CheckpointStore(path, version="v1").record({"c": 3}, status="ok")
+        reloaded = CheckpointStore(path, version="v1")
+        assert reloaded.completed({"a": 1})
+        assert reloaded.completed({"c": 3})
+        assert len(reloaded) == 2
 
     def test_clean_journal_loads_without_warnings(self, tmp_path, caplog):
         path = tmp_path / "run.jsonl"
         CheckpointStore(path, version="v1").record({"a": 1}, status="ok")
-        with _capture_checkpoint_warnings(caplog):
+        with _capture_checkpoint_warnings(caplog) as records:
             CheckpointStore(path, version="v1")
-        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert not [r for r in records if r.levelname == "WARNING"]
 
     def test_resume_false_refuses_existing(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -7,7 +7,13 @@ import errno
 import pytest
 
 from repro.errors import ReproError, StorageError
-from repro.utils.atomicio import atomic_write_json, atomic_write_text, fsync_directory
+from repro.utils.atomicio import (
+    append_line,
+    atomic_write_json,
+    atomic_write_text,
+    fsync_directory,
+    iter_json_lines,
+)
 
 
 def _tmp_files(directory):
@@ -28,6 +34,24 @@ def test_atomic_write_json_round_trips(tmp_path):
     target = tmp_path / "out.json"
     atomic_write_json(target, {"a": [1, 2.5, "x"]})
     assert json.loads(target.read_text()) == {"a": [1, 2.5, "x"]}
+
+
+def test_append_line_bytes_unchanged_on_a_clean_file(tmp_path):
+    target = tmp_path / "journal.jsonl"
+    append_line(target, '{"key": "a"}')
+    append_line(target, '{"key": "b"}')
+    assert target.read_bytes() == b'{"key": "a"}\n{"key": "b"}\n'
+
+
+def test_append_line_terminates_a_torn_tail_first(tmp_path):
+    target = tmp_path / "journal.jsonl"
+    append_line(target, '{"key": "a"}')
+    with target.open("a") as handle:
+        handle.write('{"key": "b", "sta')  # crash mid-append
+    append_line(target, '{"key": "c"}')
+    assert target.read_bytes() == b'{"key": "a"}\n{"key": "b", "sta\n{"key": "c"}\n'
+    keys = [entry["key"] for entry in iter_json_lines(target.read_text(), target)]
+    assert keys == ["a", "c"]
 
 
 def test_missing_directory_raises_typed_storage_error(tmp_path):

@@ -94,7 +94,7 @@ class TestRegistry:
         assert set(PROPERTIES) == {
             "models", "shape_classes", "golden", "conservation",
             "monotone_array", "monotone_batch", "permutation",
-            "cache_identity", "vectorized", "serial_parallel",
+            "cache_identity", "vectorized", "dram", "serial_parallel",
             "parser_topology", "parser_config",
         }
 
