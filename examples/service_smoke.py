@@ -7,9 +7,11 @@ End-to-end drill of the durable simulation service:
    persistent result store;
 2. fire two concurrent clients at the *same* workload and assert the
    single-flight table deduplicated them — one simulation, two answers;
-3. flip bits in a store entry on disk and assert a fresh compute-side
-   process detects the corruption, quarantines the evidence and
-   recomputes the identical result;
+3. damage every store entry on disk — a bit flip, then the two shapes
+   an unsynced put can leave after a power loss (cut to 0 bytes, cut
+   in half) — and assert, for each kind, that a fresh compute-side
+   process detects the damage, quarantines the evidence and recomputes
+   the identical result;
 4. SIGTERM the daemon and assert it drains and exits 0.
 
 Run:  python examples/service_smoke.py
@@ -30,6 +32,20 @@ from repro.serve.client import ServiceClient
 from repro.store.result_store import ResultStore
 
 REQUEST = {"kind": "run", "workload": "TF0", "array": "16x16"}
+
+
+def flip_a_bit(raw: bytes) -> bytes:
+    middle = len(raw) // 2
+    return raw[:middle] + bytes([raw[middle] ^ 0x04]) + raw[middle + 1:]
+
+
+#: Ways a record can be damaged on disk: bit rot, and what a power loss
+#: can leave of a put that was never fsynced.
+DAMAGE = {
+    "bit flip": flip_a_bit,
+    "cut to 0 bytes": lambda raw: b"",
+    "cut in half": lambda raw: raw[: len(raw) // 2],
+}
 
 
 def free_port() -> int:
@@ -98,19 +114,28 @@ def stage_corruption(store_root: Path) -> None:
     keys = list(store.keys())
     assert keys, "store is empty after the daemon ran"
     reference = {key: store.get(key) for key in keys}
-    for key in keys:  # flip a byte in every entry
-        path = store.entry_path(key)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x04
-        path.write_bytes(bytes(raw))
+    for damaged, (kind, damage) in enumerate(DAMAGE.items(), start=1):
+        for key in keys:  # damage every entry
+            path = store.entry_path(key)
+            path.write_bytes(damage(path.read_bytes()))
+        recompute(store_root)
+        healed = ResultStore(store_root)
+        status = healed.status()
+        assert status["corrupt"] >= damaged * len(keys), f"{kind} undetected: {status}"
+        for key, payload in reference.items():
+            assert healed.get(key) == payload, f"recompute not byte-identical for {key}"
+        print(f"{kind} OK: {status['corrupt']} quarantined so far, "
+              f"{len(reference)} entr(ies) healed byte-identical")
 
-    # A fresh compute-side process probes the store, detects the damage,
-    # quarantines it and recomputes — transparently.
+
+def recompute(store_root: Path) -> None:
+    """A fresh compute-side process probes the store, detects the damage,
+    quarantines it and recomputes — transparently."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
     )
-    recompute = subprocess.run(
+    run = subprocess.run(
         [
             sys.executable, "-m", "repro",
             "--store", str(store_root),
@@ -121,15 +146,7 @@ def stage_corruption(store_root: Path) -> None:
         text=True,
         timeout=300,
     )
-    assert recompute.returncode == 0, recompute.stderr
-
-    healed = ResultStore(store_root)
-    status = healed.status()
-    assert status["corrupt"] >= len(keys), f"corruption undetected: {status}"
-    for key, payload in reference.items():
-        assert healed.get(key) == payload, f"recompute not byte-identical for {key}"
-    print(f"corruption OK: {status['corrupt']} quarantined, "
-          f"{len(reference)} entr(ies) healed byte-identical")
+    assert run.returncode == 0, run.stderr
 
 
 def stage_sigterm(daemon: subprocess.Popen) -> None:

@@ -89,7 +89,7 @@ class StorageError(ReproError, OSError):
 
 class StoreCorruptionError(StorageError):
     """Raised when the result store itself (not one entry) is unusable:
-    the root is not a store, the manifest directory cannot be created,
+    the root is not a directory, the store layout cannot be created,
     or quarantine repeatedly fails.  Individual corrupted entries never
     raise — they are quarantined and recomputed transparently."""
 

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import threading
-import time
 from contextlib import nullcontext
 from pathlib import Path
 from typing import ContextManager, Dict, Iterable, Optional, Sequence, Tuple
@@ -36,9 +35,8 @@ class DurableRoot:
     owner's own counters (``quarantined``, ``errors`` and ``recovered``
     are kept here for every directory).  ``writable`` is how the
     directory was *opened* and never changes; degradation is tracked
-    separately in :attr:`mode`.  Manifest lines are stamped with the
-    writer's pid, preceded by a wall-clock ``ts`` when ``timestamps``
-    is set.
+    separately in :attr:`mode`.  Only the ledger keeps a manifest; its
+    lines are stamped with the writer's pid.
     """
 
     def __init__(
@@ -51,7 +49,6 @@ class DurableRoot:
         modes: Sequence[str],
         counters: Sequence[str],
         writable: bool,
-        timestamps: bool,
         logger: logging.Logger,
     ):
         if root.exists() and not root.is_dir():
@@ -64,7 +61,6 @@ class DurableRoot:
         self.mode = self.modes[0]
         self.degraded_reason: Optional[str] = None
         self.writable = writable
-        self.timestamps = timestamps
         self.logger = logger
         self.manifest_path = root / "manifest.wal"
         self.lock_path = root / "lock"
@@ -119,14 +115,14 @@ class DurableRoot:
     # ------------------------------------------------------------------
     # Lock and manifest
     # ------------------------------------------------------------------
-    def lock(self) -> ContextManager[None]:
-        """The cross-process writer lock; a no-op for read-only opens."""
-        return flock(self.lock_path) if self.writable else nullcontext()
+    def lock(self, shared: bool = False) -> ContextManager[None]:
+        """The cross-process writer lock, exclusive unless ``shared``
+        (store puts); a no-op for read-only opens."""
+        return flock(self.lock_path, shared) if self.writable else nullcontext()
 
     def append_manifest(self, entry: Dict) -> None:
         """Fsynced manifest append (raises ``OSError``); call under :meth:`lock`."""
-        stamp = {"ts": time.time()} if self.timestamps else {}
-        line = json.dumps({**entry, **stamp, "pid": os.getpid()}, separators=(",", ":"))
+        line = json.dumps({**entry, "pid": os.getpid()}, separators=(",", ":"))
         append_line(self.manifest_path, line)
 
     def manifest_ops(self) -> Dict[str, str]:
@@ -144,12 +140,13 @@ class DurableRoot:
     # Quarantine and recovery
     # ------------------------------------------------------------------
     def quarantine(
-        self, path: Path, name: str, reason: str, suffix: str = ""
+        self, path: Path, name: str, reason: str, suffix: str = "", journal: bool = False
     ) -> Optional[Path]:
         """Move corrupt ``path`` to ``corrupt/<name>.<n><suffix>``; never raises.
 
-        Call under :meth:`lock`.  A read-only open logs and counts the
-        corruption but leaves the file where it is.
+        Call under the exclusive :meth:`lock`.  ``journal`` also appends a
+        ``quarantine`` manifest line.  A read-only open logs and counts
+        the corruption but leaves the file where it is.
         """
         self.count("quarantined")
         if not self.writable:
@@ -166,7 +163,7 @@ class DurableRoot:
             self.prefix, self.field, name, reason,
             f" -> {destination}" if destination else "",
         )
-        if self.durable:
+        if journal and self.durable:
             try:
                 self.append_manifest(
                     {"op": "quarantine", self.field: name, "reason": reason}
@@ -176,15 +173,16 @@ class DurableRoot:
         return destination
 
     def reconcile(
-        self, temps: Iterable[Path], published: Iterable[Tuple[str, Dict]], op: str
+        self, temps: Iterable[Path], published: Iterable[Tuple[str, Dict]] = (), op: str = ""
     ) -> Dict[str, int]:
-        """Open-time repair under the lock; safe (and run) at every open.
+        """Open-time repair under the exclusive lock; safe (and run) at every open.
 
-        Unlinks ``temps`` — live writers hold the lock while their temp
-        file exists, so anything visible here is a crash orphan — and
-        appends a recovered ``op`` line for every ``(name, extra)`` in
-        ``published`` the manifest does not already show as ``op``.
-        Quarantines made while ``published`` is walked count as repairs.
+        Unlinks ``temps`` — live writers hold the lock (shared or not)
+        while their temp file exists, so anything visible here is a crash
+        orphan — and appends a recovered ``op`` line for every ``(name,
+        extra)`` in ``published`` the manifest does not already show as
+        ``op``; no ``op``, no manifest read.  Quarantines made while
+        ``published`` is walked count as repairs.
         """
         repairs = {"orphan_tmp": 0, "rejournaled": 0, "quarantined": 0}
         quarantined = self.counts()["quarantined"]
@@ -196,7 +194,7 @@ class DurableRoot:
                         repairs["orphan_tmp"] += 1
                     except OSError:  # pragma: no cover - raced another opener
                         pass
-            journalled = self.manifest_ops()
+            journalled = self.manifest_ops() if op else {}
             for name, extra in published:
                 if not self.durable or journalled.get(name) == op:
                     continue

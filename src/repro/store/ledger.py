@@ -174,7 +174,6 @@ class SweepLedger:
             modes=_MODES,
             counters=("entries", "rows", "sealed", "reused"),
             writable=writable,
-            timestamps=False,
             logger=logger,
         )
         self.corrupt_dir = self._durable.corrupt_dir
@@ -253,7 +252,7 @@ class SweepLedger:
             try:
                 segment = Segment(path)
             except LedgerCorruptionError as exc:
-                self._durable.quarantine(path, path.name, str(exc))
+                self._durable.quarantine(path, path.name, str(exc), journal=True)
                 continue
             self._segments[path.name] = segment
             for meta in segment.entry_metas():

@@ -8,16 +8,17 @@ simulate **once, ever**.
 Layout (one directory per store)::
 
     <root>/
-      manifest.wal          append-only JSONL journal of publishes
-      lock                  flock target serializing writers
+      lock                  flock target: puts share it, reap and quarantine exclusive
       entries/<k0k1>/<key>.json
       corrupt/<key>.<n>.json   quarantined records (never re-read)
 
-Records are self-verifying (schema version + SHA-256 of the payload): a
-corrupt one is quarantined and reported as a miss, so the caller
-recomputes and the next put heals it.  The durability contract, shared
-with the sweep ledger and the checkpoint journal, is in
-``docs/robustness.md``.
+The store is a cache — any record can be recomputed — so a put
+publishes by temp file + ``os.replace`` and never fsyncs.  Records are
+self-verifying (schema version + SHA-256 of the canonical payload): a
+corrupt one, including what a power loss leaves of a recent put, is
+quarantined and reported as a miss, so the caller recomputes and the
+next put heals it.  The durability contract, shared with the sweep
+ledger and the checkpoint journal, is in ``docs/robustness.md``.
 
 Observability: ``store.hits`` / ``store.misses`` / ``store.writes`` /
 ``store.quarantined`` / ``store.errors`` / ``store.recovered`` counters
@@ -37,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro._version import __version__
 from repro.errors import StorageError, StoreCorruptionError
 from repro.store.durable import DurableRoot
-from repro.utils.atomicio import atomic_write_text, fsync_directory
+from repro.utils.atomicio import atomic_write_bytes
 
 logger = logging.getLogger("repro.store")
 
@@ -52,10 +53,15 @@ MODE_READWRITE = "readwrite"
 MODE_COMPUTE_ONLY = "compute-only"
 
 
+def _canonical(payload: Dict) -> Tuple[str, str]:
+    """``payload`` as JSON text with sorted keys and no spaces, and its SHA-256."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return text, hashlib.sha256(text.encode()).hexdigest()
+
+
 def payload_checksum(payload: Dict) -> str:
     """Canonical SHA-256 of a JSON payload (order-insensitive)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _canonical(payload)[1]
 
 
 def valid_key(key: str) -> bool:
@@ -92,11 +98,9 @@ class ResultStore:
             modes=(MODE_READWRITE, MODE_COMPUTE_ONLY),
             counters=("hits", "misses", "writes"),
             writable=writable,
-            timestamps=True,
             logger=logger,
         )
         self.corrupt_dir = self._durable.corrupt_dir
-        self.manifest_path = self._durable.manifest_path
         if writable:
             self._durable.create(self.entries_dir)
             self.recover()
@@ -132,10 +136,10 @@ class ResultStore:
 
         Raises ``OSError`` when the record cannot be read at all.
         """
-        text = self.entry_path(key).read_text(encoding="utf-8")
+        raw = self.entry_path(key).read_bytes()
         try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
+            record = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             return None, f"unparsable JSON ({exc})"
         if not isinstance(record, dict):
             return None, "record is not a JSON object"
@@ -173,37 +177,35 @@ class ResultStore:
     # Writes
     # ------------------------------------------------------------------
     def put(self, key: str, payload: Dict, meta: Optional[Dict] = None) -> bool:
-        """Durably publish ``payload`` under ``key``.
+        """Atomically publish ``payload`` under ``key`` (no fsync).
 
         Returns ``True`` when the entry landed, ``False`` when the
         store is read-only or (just became) compute-only.  Storage
         failures degrade the store instead of raising; programming
         errors (invalid key, unserializable payload) still raise.
+        Puts hold the lock shared, so they never wait for each other.
         """
         if not valid_key(key):
             raise StoreCorruptionError(f"invalid store key {key!r}")
         if not self.writable:
             return False
-        record = {
+        body, checksum = _canonical(payload)
+        frame = json.dumps({
             "schema": SCHEMA_VERSION,
             "key": key,
             "version": self.version,
             "created_unix": time.time(),
-            "checksum": payload_checksum(payload),
-            "payload": payload,
-        }
-        if meta:
-            record["meta"] = meta
-        text = json.dumps(record, separators=(",", ":"))
+            "checksum": checksum,
+        }, separators=(",", ":"))
+        # One serialization feeds the checksum and the record: the
+        # canonical payload text is spliced in after the frame's fields.
+        tail = f',"meta":{json.dumps(meta, separators=(",", ":"))}' if meta else ""
+        text = f'{frame[:-1]},"payload":{body}{tail}}}'
         path = self.entry_path(key)
         try:
-            with self._durable.lock():
+            with self._durable.lock(shared=True):
                 path.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_text(path, text)
-                fsync_directory(path.parent)
-                self._durable.append_manifest(
-                    {"op": "put", "key": key, "checksum": record["checksum"]}
-                )
+                atomic_write_bytes(path, text.encode("utf-8"), fsync=False)
         except (StorageError, OSError) as exc:
             self._durable.degrade(MODE_COMPUTE_ONLY, f"put {key} failed: {exc}")
             return False
@@ -226,21 +228,13 @@ class ResultStore:
     def quarantined(self) -> List[Path]:
         return sorted(self.corrupt_dir.glob("*.json"))
 
-    def manifest_keys(self) -> Dict[str, str]:
-        """Latest manifest op per key, tolerating a torn final line."""
-        return self._durable.manifest_ops()
-
     def recover(self) -> Dict[str, int]:
-        """Repair after a crash: drop orphan temp files, heal the manifest.
+        """Repair after a crash: unlink orphan temp files.
 
         Returns counts of what was repaired.  Safe to run at every
         open; a clean store is a no-op.
         """
-        return self._durable.reconcile(
-            self.entries_dir.glob("*/.*.tmp"),
-            ((key, {}) for key in list(self.keys())),
-            op="put",
-        )
+        return self._durable.reconcile(self.entries_dir.glob("*/.*.tmp"))
 
     def verify(self) -> Dict[str, int]:
         """Deep-check every entry; quarantine the ones that fail.

@@ -63,7 +63,7 @@ def configure(root: Union[str, Path], writable: bool = True) -> ResultStore:
     _configured = True
     _env_failed = None
     os.environ[STORE_ENV_VAR] = str(store.root)
-    logger.info("result store active at %s (%d entries)", store.root, len(store))
+    logger.info("result store active at %s", store.root)
     return store
 
 

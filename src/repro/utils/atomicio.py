@@ -54,14 +54,16 @@ def _storage_error(action: str, path: Path, exc: OSError) -> StorageError:
     return StorageError(exc.errno or 0, f"cannot {action}: {reason}", str(path))
 
 
-def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> Path:
+def atomic_write_bytes(path: Union[str, Path], payload: bytes, fsync: bool = True) -> Path:
     """Durably replace ``path``'s contents with binary ``payload``.
 
     The write is all-or-nothing: readers only ever observe the previous
     complete contents or the new complete contents.  The temporary file
     is cleaned up on failure — including ``ENOSPC``/``EIO``, which
     surface as :class:`~repro.errors.StorageError` — and the original
-    file (if any) is left untouched.
+    file (if any) is left untouched.  ``fsync=False`` (for a cache that
+    detects damage) stays atomic under ``kill -9``, but a power loss can
+    leave the new file empty or cut short.
     """
     path = Path(path)
     try:
@@ -73,8 +75,9 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> Path:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException as failure:
         try:
@@ -102,8 +105,8 @@ def fsync_directory(path: Union[str, Path]) -> None:
 
     After ``os.replace`` lands a file, the *directory* entry itself may
     still live only in the page cache; a power loss could forget the
-    rename.  The result store fsyncs the entry shard after each put so
-    a published entry survives anything short of media failure.
+    rename.  The sweep ledger fsyncs its segments directory after each
+    seal so a sealed segment survives anything short of media failure.
     """
     try:
         fd = os.open(str(path), os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
@@ -173,12 +176,13 @@ def iter_json_lines(
 
 
 @contextmanager
-def flock(path: Union[str, Path]) -> Iterator[None]:
+def flock(path: Union[str, Path], shared: bool = False) -> Iterator[None]:
     """Hold an exclusive ``flock`` on ``path`` (best effort without fcntl).
 
     The lock belongs to the open file description, so it serializes
     threads of one process as well as separate processes — and a holder
-    must not take it again.  If the lock file cannot be opened the body
+    must not take it again.  ``shared`` holders run together, never
+    beside an exclusive one.  If the lock file cannot be opened the body
     runs unlocked, as on platforms without ``fcntl``.
     """
     try:
@@ -189,7 +193,7 @@ def flock(path: Union[str, Path]) -> Iterator[None]:
         yield
         return
     with handle:  # closing the only descriptor releases the lock
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        fcntl.flock(handle.fileno(), fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
         yield
 
 

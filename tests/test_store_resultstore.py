@@ -1,11 +1,13 @@
 """The content-addressed result store: durability, corruption, recovery.
 
-The contract under test is the acceptance bar of the durable-service
-PR: a ``kill -9`` at any instant leaves the store readable with the
-interrupted entry either absent or complete; a bit-flipped record is
+The contract under test: a ``kill -9`` at any instant leaves the store
+readable with the interrupted entry either absent or complete; a
+bit-flipped record, or what a power loss leaves of an unsynced put, is
 detected, quarantined and recomputed; two processes racing the same key
-both succeed and leave one valid record; and storage failures degrade
-the store to compute-only mode instead of failing the simulation.
+both succeed and leave one valid record; puts never wait for each other
+and an opening writer never reaps a live put's temp file; and storage
+failures degrade the store to compute-only mode instead of failing the
+simulation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -131,12 +134,52 @@ def test_bit_flip_is_quarantined_and_healed(store):
     assert store.get(KEY) == PAYLOAD
 
 
-def test_truncated_record_is_quarantined(store):
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: b"",
+        lambda raw: raw[:1],
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: raw[:-1],
+        lambda raw: bytes(len(raw)),  # what ext4 can leave of unsynced data
+        lambda raw: bytes(range(128, 256)) * (len(raw) // 128 + 1),  # not UTF-8
+    ],
+    ids=["empty", "one-byte", "half", "all-but-last", "zero-filled", "stale-blocks"],
+)
+def test_truncated_record_is_quarantined(store, damage):
+    """Puts do not fsync, so a power loss can leave any of these shapes."""
     store.put(KEY, PAYLOAD)
     path = store.entry_path(KEY)
-    path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    assert store.get(KEY) is None
+    path.write_bytes(damage(path.read_bytes()))
+    assert store.get(KEY) is None  # detected -> miss
+    assert not path.exists()
     assert len(store.quarantined()) == 1
+    assert store.put(KEY, PAYLOAD)  # recompute heals the entry
+    assert store.get(KEY) == PAYLOAD
+
+
+def test_records_framed_either_way_hit(store):
+    """A record with its payload keys in insertion order, as older puts
+    wrote it, still hits; a new put writes the canonical payload text
+    its checksum was taken over."""
+    store.put(KEY, PAYLOAD)
+    record = json.loads(store.entry_path(KEY).read_text())
+    assert record["checksum"] == payload_checksum(record["payload"])
+    assert list(record["payload"]) == sorted(PAYLOAD)
+
+    older = {
+        "schema": SCHEMA_VERSION,
+        "key": OTHER,
+        "version": store.version,
+        "created_unix": time.time(),
+        "checksum": payload_checksum(PAYLOAD),
+        "payload": PAYLOAD,
+    }
+    path = store.entry_path(OTHER)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(older, separators=(",", ":")))
+    assert '"payload":{"kind"' in path.read_text()
+    assert store.get(OTHER) == PAYLOAD
 
 
 def test_stale_schema_is_quarantined(store):
@@ -179,22 +222,8 @@ def test_verify_sweeps_all_entries(store):
 
 
 # ----------------------------------------------------------------------
-# Recovery: manifest + orphan temp files
+# Recovery (orphan temp files) and the writer lock
 # ----------------------------------------------------------------------
-
-def test_manifest_records_every_put(store):
-    store.put(KEY, PAYLOAD)
-    store.put(OTHER, PAYLOAD)
-    assert store.manifest_keys() == {KEY: "put", OTHER: "put"}
-
-
-def test_manifest_tolerates_torn_final_line(store):
-    store.put(KEY, PAYLOAD)
-    with store.manifest_path.open("a") as handle:
-        handle.write('{"op": "put", "key": "trunc')  # crash mid-append
-    assert store.manifest_keys() == {KEY: "put"}
-    assert ResultStore(store.root).get(KEY) == PAYLOAD
-
 
 def test_recover_unlinks_orphan_temp_files(store):
     store.put(KEY, PAYLOAD)
@@ -207,12 +236,91 @@ def test_recover_unlinks_orphan_temp_files(store):
     assert store.recover()["orphan_tmp"] == 1
 
 
-def test_recover_rejournals_unjournalled_entries(store):
-    store.put(KEY, PAYLOAD)
-    store.manifest_path.unlink()  # entry landed, WAL append never did
-    reopened = ResultStore(store.root)
-    assert reopened.manifest_keys() == {KEY: "put"}
-    assert reopened.get(KEY) == PAYLOAD
+def test_puts_never_wait_and_an_open_spares_a_live_temp_file(store, monkeypatch):
+    """Put A pauses with its temp file written; put B completes meanwhile,
+    and a writable open reaps a dead writer's orphan but not A's temp."""
+    orphan = store.entry_path(OTHER).parent / f".{OTHER}.json.dead00.tmp"
+    orphan.parent.mkdir(parents=True, exist_ok=True)
+    orphan.write_text("half a record")
+    paused, release = threading.Event(), threading.Event()
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if threading.current_thread().name == "put-a":
+            paused.set()
+            release.wait(timeout=60)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    results, threads = {}, []
+
+    def run(name, call):
+        thread = threading.Thread(
+            target=lambda: results.__setitem__(name, call()), name=name
+        )
+        thread.start()
+        threads.append(thread)
+        return thread
+
+    run("put-a", lambda: store.put(KEY, PAYLOAD))
+    try:
+        assert paused.wait(timeout=30)
+        (temp,) = [path for path in store.root.glob("entries/*/.*.tmp") if path != orphan]
+        put_b = run("put-b", lambda: store.put("00112233aabbccdd", PAYLOAD))
+        put_b.join(timeout=10)
+        assert not put_b.is_alive(), "put B waited for put A"
+        assert results["put-b"] is True
+        run("open", lambda: ResultStore(store.root)).join(timeout=1)
+        assert temp.exists(), "a writable open reaped a live put's temp file"
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results["put-a"] is True
+    assert store.get(KEY) == PAYLOAD
+    assert results["open"].get(KEY) == PAYLOAD
+    assert not orphan.exists()
+
+
+def test_concurrent_puts_opens_and_reads_stay_consistent(tmp_path):
+    """More threads than cores, with a short switch interval: every put
+    lands, every read is the whole payload or a miss, no record tears and
+    no count is lost."""
+    store = ResultStore(tmp_path / "store")
+    keys = [f"{index:02x}{'0' * 14}" for index in range(8)]
+    puts, failures = 40, []
+
+    def writer(offset):
+        for step in range(puts):
+            key = keys[(offset + step) % len(keys)]
+            if not store.put(key, {"key": key, "rows": list(range(64))}):
+                failures.append(f"put {key} failed")
+            payload = store.get(keys[(offset + step + 1) % len(keys)])
+            if payload is not None and payload["rows"] != list(range(64)):
+                failures.append(f"torn read {payload}")
+
+    def opener():
+        for _ in range(10):
+            ResultStore(store.root)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(6)]
+        threads.append(threading.Thread(target=opener))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert store.status()["writes"] == 6 * puts
+    assert store.status()["quarantined"] == 0
+    assert sorted(store.keys()) == keys
+    assert not list(store.root.glob("entries/*/.*.tmp"))
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +328,12 @@ def test_recover_rejournals_unjournalled_entries(store):
 # ----------------------------------------------------------------------
 
 def test_put_failure_degrades_to_compute_only(store, monkeypatch):
-    def explode(path, text):
+    def explode(path, payload, fsync=True):
         error = StorageError(f"cannot write {path}: no space left on device")
         error.errno = 28  # ENOSPC
         raise error
 
-    monkeypatch.setattr("repro.store.result_store.atomic_write_text", explode)
+    monkeypatch.setattr("repro.store.result_store.atomic_write_bytes", explode)
     assert not store.put(KEY, PAYLOAD)  # degraded, not raised
     assert not store.writable
     assert "no space left" in store.degraded_reason

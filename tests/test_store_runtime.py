@@ -25,6 +25,7 @@ from repro.store import (
     store_key,
 )
 from repro.store.records import decode_result_pair, encode_result_pair
+from repro.store.result_store import ResultStore
 from repro.store.runtime import probe, record
 
 
@@ -73,6 +74,21 @@ def test_unopenable_environment_store_degrades_quietly(tmp_path):
     os.environ[STORE_ENV_VAR] = str(blocker)
     assert active() is None  # warned + compute-only, not raised
     assert active() is None  # and the failure is not retried
+
+
+def test_opening_a_store_never_lists_its_entries(tmp_path, monkeypatch):
+    """Opening costs the same for 3 records or 3 million: neither the
+    open-time recovery nor configure()'s log line walks the entries."""
+    populated = ResultStore(tmp_path / "s")
+    for index in range(3):
+        populated.put(f"{index:016x}", {"index": index})
+
+    def listing(self):
+        raise AssertionError("opening the store listed every entry")
+
+    monkeypatch.setattr(ResultStore, "keys", listing)
+    ResultStore(tmp_path / "s")
+    configure(tmp_path / "s")
 
 
 def test_store_key_is_stable_and_version_stamped():
