@@ -1,15 +1,13 @@
-"""Perf core: result cache, closed-form folds and multiprocess sweeps.
+"""Perf core: the result cache and closed-form folds.
 
-This benchmark measures the PR's three optimizations on the paper's own
-workloads and records honest numbers:
+This benchmark measures the cache and the closed-form fold path on the
+paper's own workloads and records honest numbers:
 
 * ResNet-50 scale-up: a memoized re-run against a cold, cache-disabled
   run (the cache serves repeated conv shapes — ResNet-50's residual
   stages reuse the same GEMMs many times);
-* ResNet-50 scale-out partition sweep: serial vs ``workers=2``, which
-  must produce byte-identical rows (the speedup column is honest about
-  the host: on a single-core CI container process-pool overhead can
-  exceed the win, so only correctness is asserted).
+* TF0 partition sweep: the closed-form fold path, spot-checked for
+  internal consistency.
 
 Each series lands in ``results/`` as CSV; ``run_once`` stamps wall time
 and counter deltas into ``results/perf/`` as JSON.
@@ -18,7 +16,6 @@ and counter deltas into ``results/perf/`` as JSON.
 from __future__ import annotations
 
 import functools
-import os
 import time
 
 from conftest import run_once
@@ -30,10 +27,6 @@ from repro.perf.cache import cache
 from repro.sweep import run_sweep
 from repro.workloads import get_workload
 from repro.workloads.language import language_layer
-
-#: Partition counts of the scale-out sweep (power-of-four ladder).
-SWEEP_PARTITIONS = [1, 4, 16, 64]
-SWEEP_MACS = 2**14
 
 
 def test_resnet50_scaleup_cache_speedup(benchmark, reporter):
@@ -80,44 +73,6 @@ def test_resnet50_scaleup_cache_speedup(benchmark, reporter):
                 "mode": "cache warm",
                 "wall_time_s": round(warm_s, 4),
                 "speedup": round(cold_s / warm_s, 3),
-            },
-        ],
-    )
-    cache.reset()
-
-
-def test_resnet50_scaleout_parallel_sweep(benchmark, reporter):
-    layer = get_workload("resnet50")[9]  # a mid-network conv block
-    fn = functools.partial(sweep_measure, layer=layer, macs=SWEEP_MACS)
-
-    cache.reset()
-    start = time.perf_counter()
-    serial = run_sweep(fn, partitions=SWEEP_PARTITIONS)
-    serial_s = time.perf_counter() - start
-
-    cache.reset()
-    start = time.perf_counter()
-    parallel = run_once(
-        benchmark, lambda: run_sweep(fn, partitions=SWEEP_PARTITIONS, workers=2)
-    )
-    parallel_s = time.perf_counter() - start
-
-    assert parallel == serial, "workers=2 must reproduce the serial rows exactly"
-
-    reporter.emit(
-        "resnet50 scaleout serial vs workers2",
-        [
-            {
-                "mode": "serial",
-                "wall_time_s": round(serial_s, 4),
-                "cpu_count": os.cpu_count(),
-                "rows": len(serial),
-            },
-            {
-                "mode": "workers=2",
-                "wall_time_s": round(parallel_s, 4),
-                "cpu_count": os.cpu_count(),
-                "rows": len(parallel),
             },
         ],
     )

@@ -88,14 +88,11 @@ from repro.robust import (
     Fault,
     PointRecord,
     RunReport,
-    SupervisorPolicy,
-    WorkerFault,
     check_layer_result,
     check_trace_conservation,
     execute_grid,
     execute_point,
     inject_faults,
-    inject_worker_faults,
 )
 from repro.traceanalysis import reuse_profile, stream_stats
 from repro.obs import (
@@ -120,11 +117,8 @@ from repro.errors import (
     SearchError,
     SimulationError,
     StorageError,
-    SupervisorExhaustedError,
     SweepError,
-    SweepInterrupted,
     TopologyError,
-    WorkerCrashError,
 )
 from repro.store.ledger import LedgerDiff, SweepLedger
 
@@ -227,14 +221,11 @@ __all__ = [
     "Fault",
     "PointRecord",
     "RunReport",
-    "SupervisorPolicy",
-    "WorkerFault",
     "check_layer_result",
     "check_trace_conservation",
     "execute_grid",
     "execute_point",
     "inject_faults",
-    "inject_worker_faults",
     # errors
     "ReproError",
     "ConfigError",
@@ -246,10 +237,7 @@ __all__ = [
     "ExecutionError",
     "PointTimeoutError",
     "CircuitOpenError",
-    "WorkerCrashError",
-    "SupervisorExhaustedError",
     "SweepError",
-    "SweepInterrupted",
     "CheckpointError",
     "StorageError",
     "LedgerCorruptionError",

@@ -37,7 +37,6 @@ stderr).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import logging
 import os
@@ -76,14 +75,11 @@ from repro.errors import (
     ServiceError,
     SimulationError,
     StorageError,
-    SweepInterrupted,
     TopologyError,
     VerificationError,
-    WorkerCrashError,
 )
 from repro.robust.checkpoint import CheckpointStore
 from repro.robust.policy import ExecutionPolicy
-from repro.robust.supervisor import SupervisorPolicy
 from repro.serve.jobs import sweep_estimate, sweep_measure
 from repro.sweep import run_sweep_report
 from repro.topology.network import Network
@@ -94,16 +90,11 @@ from repro.workloads.registry import available_workloads, get_workload
 
 
 #: A batch run ended without executing every point (failures tripped the
-#: circuit breaker, points were skipped, or SIGINT/SIGTERM drained the
-#: sweep early after flushing the checkpoint journal) — distinct from
-#: the per-error-class codes so callers can tell "the sweep ran but is
-#: incomplete" from "the sweep aborted".
+#: circuit breaker, points were skipped, or Ctrl-C stopped the sweep
+#: with every completed point already in the checkpoint journal) —
+#: distinct from the per-error-class codes so callers can tell "the
+#: sweep ran but is incomplete" from "the sweep aborted".
 EXIT_INCOMPLETE = 12
-
-#: The supervised worker pool could not make progress: workers kept
-#: dying past ``max_restarts`` rebuilds, or a point crash escalated in
-#: ``fail_fast`` mode (:class:`~repro.errors.WorkerCrashError`).
-EXIT_POOL_LOSS = 13
 
 #: A durable write could not complete (``ENOSPC``/``EIO``/vanished
 #: directory — :class:`~repro.errors.StorageError`) and no layer above
@@ -149,10 +140,8 @@ EXIT_PERF_REGRESSION = 17
 #: 10    batch execution failure (``ExecutionError`` and subclasses
 #:       without their own code)
 #: 11    invalid/unservable fault map (``ResilienceError``)
-#: 12    incomplete sweep (breaker trip, skips, or a graceful
-#:       SIGINT/SIGTERM drain — ``SweepInterrupted``)
-#: 13    worker-pool loss (``WorkerCrashError`` /
-#:       ``SupervisorExhaustedError``, or a raw ``BrokenProcessPool``)
+#: 12    incomplete sweep (breaker trip, skips, or SIGINT —
+#:       ``KeyboardInterrupt``)
 #: 14    durable write failure (``StorageError``: ENOSPC, EIO, a
 #:       vanished directory) that nothing above could degrade around.
 #:       The sweep ledger shares this code: corrupt sealed segments
@@ -178,8 +167,6 @@ EXIT_CODES: Tuple[Tuple[type, int], ...] = (
     (DramError, 7),
     (CheckpointError, 8),
     (InvariantError, 9),
-    (SweepInterrupted, EXIT_INCOMPLETE),
-    (WorkerCrashError, EXIT_POOL_LOSS),
     (ExecutionError, 10),
     (ResilienceError, 11),
     (StorageError, EXIT_STORAGE),
@@ -225,50 +212,18 @@ def _add_robust_flags(sub: argparse.ArgumentParser) -> None:
         help="retries per failing point, with exponential backoff (default 0)",
     )
     sub.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="evaluate grid points on N worker processes (default 1: serial)",
-    )
-    sub.add_argument(
-        "--point-timeout", type=float, dest="point_timeout", metavar="SECONDS",
-        help="hard per-point wall-clock ceiling enforced inside each worker "
-             "(the runaway point's worker kills itself; needs --workers > 1)",
-    )
-    sub.add_argument(
-        "--point-rss-mb", type=float, dest="point_rss_mb", metavar="MB",
-        help="per-point resident-memory ceiling in MiB enforced inside each "
-             "worker (needs --workers > 1)",
-    )
-    sub.add_argument(
-        "--quarantine", type=int, default=2, metavar="N",
-        help="quarantine a point after it crashes its worker N times, after "
-             "one final solo retry (default 2)",
+        "--workers", type=int, metavar="N",
+        help="deprecated and ignored: every sweep runs in this process",
     )
 
 
-def _robust_workers(args: argparse.Namespace) -> int:
-    """Validated worker count: reject < 1, warn + cap at the CPU count."""
-    workers = args.workers
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
+def _warn_ignored_workers(args: argparse.Namespace) -> None:
+    """The deprecated ``--workers`` flag is accepted so scripts keep working."""
+    if args.workers is not None:
         logger.warning(
-            "--workers %d exceeds the %d available CPU(s); capping at %d",
-            workers, cpus, cpus,
+            "--workers %d is deprecated and ignored: every sweep runs in "
+            "this process", args.workers,
         )
-        return cpus
-    return workers
-
-
-def _robust_supervisor(args: argparse.Namespace) -> SupervisorPolicy:
-    try:
-        return SupervisorPolicy(
-            point_timeout=args.point_timeout,
-            point_rss_mb=args.point_rss_mb,
-            quarantine_after=args.quarantine,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _robust_policy(args: argparse.Namespace) -> ExecutionPolicy:
@@ -496,6 +451,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     ledger = _sweep_ledger(args)
     incremental = getattr(args, "incremental", False)
+    _warn_ignored_workers(args)
     print(f"# layer {layer.name}, {args.macs} MACs, OS dataflow")
     if ledger is not None and incremental:
         diff = ledger.diff_grid([{"partitions": count} for count in counts])
@@ -518,8 +474,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             functools.partial(sweep_measure, layer=layer, macs=args.macs),
             policy=_robust_policy(args),
             checkpoint=_robust_checkpoint(args),
-            workers=_robust_workers(args),
-            supervisor=_robust_supervisor(args),
             estimator=(
                 functools.partial(sweep_estimate, layer=layer, macs=args.macs)
                 if pruning
@@ -572,7 +526,7 @@ def _resilience_measure(
     seed: int = 0,
     fault_map=None,
 ) -> List[dict]:
-    """One degradation-sweep point; module-level for picklability."""
+    """One degradation-sweep point."""
     from repro.experiments.resilience import degradation_sweep
 
     rows = degradation_sweep(
@@ -601,6 +555,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         except ValueError:
             raise SystemExit(f"invalid --dead {args.dead!r}; expected e.g. 0,1,2,4") from None
 
+    _warn_ignored_workers(args)
     rows, report = run_sweep_report(
         functools.partial(
             _resilience_measure,
@@ -612,8 +567,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         ),
         policy=_robust_policy(args),
         checkpoint=_robust_checkpoint(args),
-        workers=_robust_workers(args),
-        supervisor=_robust_supervisor(args),
         dead=dead_counts,
     )
     print(
@@ -914,7 +867,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _reproduce_measure(experiment: str):
-    """One experiment evaluation; module-level for picklability."""
+    """One experiment evaluation."""
     from repro.experiments import run_experiment
 
     return run_experiment(experiment)
@@ -933,12 +886,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             f"unknown experiment {args.experiment!r}; "
             f"available: {available_experiments()}"
         )
+    _warn_ignored_workers(args)
     rows, report = run_sweep_report(
         _reproduce_measure,
         policy=_robust_policy(args),
         checkpoint=_robust_checkpoint(args),
-        workers=_robust_workers(args),
-        supervisor=_robust_supervisor(args),
         experiment=[name],
     )
     if report.failed:
@@ -1475,15 +1427,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         reason = f"{type(exc).__name__}: {exc}"
         rc = exit_code_for(exc)
         return rc
-    except concurrent.futures.BrokenExecutor as exc:
-        # A pool loss that escaped the supervisor (should be rare).
-        print(f"error: worker pool broke: {exc}", file=sys.stderr)
-        reason = f"worker pool broke: {exc}"
-        rc = EXIT_POOL_LOSS
-        return rc
     except KeyboardInterrupt:
-        # Second Ctrl-C (or a serial run's first): completed points are
-        # already journalled line-by-line, so --resume still works.
+        # Ctrl-C: completed points are already journalled line by
+        # line, so --resume still works.
         print("error: interrupted", file=sys.stderr)
         reason = "interrupted (SIGINT)"
         rc = EXIT_INCOMPLETE
@@ -1497,8 +1443,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rc = 0
         return 0
     finally:
-        # Codes >= 10 are infrastructure failures (pool loss, storage,
-        # service, incomplete sweeps, ...): exactly the crashes a
+        # Codes >= 10 are infrastructure failures (storage, service,
+        # incomplete sweeps, ...): exactly the crashes a
         # postmortem needs the recent telemetry for.
         if flight_dir is not None and rc >= 10:
             dump_path = obs_flight.dump(reason or f"exit code {rc}", exit_code=rc)

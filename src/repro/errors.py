@@ -49,25 +49,6 @@ class CircuitOpenError(ExecutionError):
     """Raised when a batch run trips its ``max_failures`` circuit breaker."""
 
 
-class WorkerCrashError(ExecutionError):
-    """Raised when a worker process dies (signal, segfault, OOM kill) and
-    the supervised pool quarantines the point that kept crashing it."""
-
-
-class SupervisorExhaustedError(WorkerCrashError):
-    """Raised when the supervised pool has been rebuilt ``max_restarts``
-    times and the workers keep dying — the sweep cannot make progress."""
-
-
-class SweepInterrupted(ExecutionError):
-    """Raised when SIGINT/SIGTERM stops a supervised sweep: completed
-    futures were drained and the checkpoint journal flushed first."""
-
-    def __init__(self, message: str, signum: int = 0):
-        super().__init__(message)
-        self.signum = signum
-
-
 class SweepError(ExecutionError, ValueError):
     """Raised when a sweep grid is malformed: a missing, empty or
     non-sequence axis that would otherwise silently produce an empty (or

@@ -11,14 +11,8 @@ report tables.
 from __future__ import annotations
 
 import logging
-import os
 import sys
 from typing import Optional, Union
-
-#: Environment variable carrying the configured level across process
-#: boundaries, so supervisor worker processes log at the parent's level
-#: instead of silently dropping everything below WARNING.
-LOG_LEVEL_ENV = "REPRO_LOG_LEVEL"
 
 #: CLI verbosity (-v count) to logging level.
 _VERBOSITY_LEVELS = {0: logging.WARNING, 1: logging.INFO}
@@ -66,39 +60,15 @@ def configure_logging(
     level: Union[str, int, None] = None,
     verbosity: int = 0,
 ) -> logging.Logger:
-    """Configure the ``repro`` root logger and return it (idempotent).
-
-    The resolved level is exported in :data:`LOG_LEVEL_ENV` so child
-    processes (the supervised worker pool) can mirror it via
-    :func:`configure_from_env`.
-    """
+    """Configure the ``repro`` root logger and return it (idempotent)."""
     logger = logging.getLogger("repro")
-    resolved = resolve_level(level, verbosity)
-    logger.setLevel(resolved)
-    os.environ[LOG_LEVEL_ENV] = logging.getLevelName(resolved)
+    logger.setLevel(resolve_level(level, verbosity))
     if not any(isinstance(h, _DynamicStderrHandler) for h in logger.handlers):
         handler = _DynamicStderrHandler()
         handler.setFormatter(logging.Formatter(_LOG_FORMAT))
         logger.addHandler(handler)
     logger.propagate = False
     return logger
-
-
-def configure_from_env() -> Optional[logging.Logger]:
-    """Worker-side mirror of the parent's logging configuration.
-
-    Reads :data:`LOG_LEVEL_ENV` (set by :func:`configure_logging` in
-    the parent) and configures this process identically; a no-op when
-    the variable is absent or unparsable, so library embedders who
-    never configured logging see no behavior change.
-    """
-    value = os.environ.get(LOG_LEVEL_ENV, "").strip()
-    if not value:
-        return None
-    try:
-        return configure_logging(level=value)
-    except ValueError:
-        return None
 
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:

@@ -1,19 +1,18 @@
 """Service-grade observability: correlation IDs and Prometheus text.
 
-Two concerns shared by the daemon, the client, and the supervised pool:
+Two concerns shared by the daemon and the client:
 
-**Correlation IDs.**  One ``repro submit`` round-trip crosses four
-process/thread boundaries (client → daemon accept thread → job thread →
-store / worker process).  A correlation ID minted once — client-side in
+**Correlation IDs.**  One ``repro submit`` round-trip crosses three
+process/thread boundaries (client → daemon accept thread → job thread
+→ store).  A correlation ID minted once — client-side in
 :meth:`repro.serve.client.ServiceClient.submit`, or at daemon ingress
 for clients that send none — is carried in the
-:data:`CORRELATION_HEADER` HTTP header, bound into the tracer's
-thread-local context on the serving thread (so every span and event
-recorded while the job runs carries ``cid=...``), and exported to
-worker processes via the :data:`CORRELATION_ENV` environment variable.
-The result: one stitched trace per job whose queue-wait, execution and
-store segments all share a single ID, greppable in daemon logs and
-visible in the exported trace JSON.
+:data:`CORRELATION_HEADER` HTTP header and bound into the tracer's
+thread-local context on the serving thread, so every span and event
+recorded while the job runs carries ``cid=...``.  The result: one
+stitched trace per job whose queue-wait, execution and store segments
+all share a single ID, greppable in daemon logs and visible in the
+exported trace JSON.
 
 **Prometheus text exposition.**  :func:`prometheus_text` renders a
 :class:`~repro.obs.metrics.MetricsRegistry` snapshot (plus optional
@@ -41,7 +40,6 @@ output is well-formed.
 
 from __future__ import annotations
 
-import os
 import re
 import uuid
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -51,9 +49,6 @@ from repro.obs.metrics import MetricsRegistry, Number
 
 #: HTTP header carrying the request correlation ID end to end.
 CORRELATION_HEADER = "X-Repro-Correlation-Id"
-
-#: Environment variable handing the ID to worker processes.
-CORRELATION_ENV = "REPRO_CORRELATION_ID"
 
 #: Span/event argument key under which the ID is recorded.
 CORRELATION_KEY = "cid"
@@ -82,12 +77,6 @@ _QUANTILES = ((50, "0.5"), (90, "0.9"), (99, "0.99"))
 def new_correlation_id() -> str:
     """A fresh, log-friendly correlation ID (16 hex chars)."""
     return uuid.uuid4().hex[:16]
-
-
-def correlation_id_from_env() -> Optional[str]:
-    """The ID handed to this (worker) process, if any."""
-    value = os.environ.get(CORRELATION_ENV, "").strip()
-    return value or None
 
 
 # ----------------------------------------------------------------------

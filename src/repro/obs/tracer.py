@@ -36,10 +36,8 @@ the operational-observability layer:
 * **Listeners** (:meth:`Tracer.add_listener`) — callbacks invoked with
   each finished :class:`SpanRecord`; the crash flight recorder uses
   this to keep its bounded ring without a second instrumentation pass.
-* **Foreign records** (:meth:`Tracer.add_record` /
-  :meth:`Tracer.add_span`) — inject already-timed spans, used to merge
-  worker-process span files into the parent trace and to synthesize
-  segments whose duration is known only after the fact (queue wait).
+* **Synthesized spans** (:meth:`Tracer.add_span`) — inject segments
+  whose duration is known only after the fact (queue wait).
 """
 
 from __future__ import annotations
@@ -164,7 +162,6 @@ class Tracer:
         self._listeners: List[Callable[[SpanRecord], None]] = []
         self._max_records: Optional[int] = None
         self.epoch_ns = time.perf_counter_ns()
-        self.epoch_unix = time.time()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -187,7 +184,6 @@ class Tracer:
             else:
                 self._records = []
         self.epoch_ns = time.perf_counter_ns()
-        self.epoch_unix = time.time()
 
     def limit_records(self, limit: Optional[int]) -> None:
         """Bound the record buffer to the newest ``limit`` spans.
@@ -287,17 +283,6 @@ class Tracer:
                 args=args,
             )
         )
-
-    def add_record(self, record: SpanRecord) -> None:
-        """Inject an already-built record (e.g. from a worker process).
-
-        Timestamps must already be relative to *this* tracer's epoch —
-        callers merging foreign span files re-anchor via ``epoch_unix``
-        first.  No-op while disabled, like all recording paths.
-        """
-        if not self._enabled:
-            return
-        self._record(record)
 
     def add_span(
         self,

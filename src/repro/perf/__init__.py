@@ -12,10 +12,8 @@ without changing what they compute:
   vectorized passes, with frontier selection so the cycle-accurate
   engine only runs on analytically interesting points.
 
-Parallel sweeps (``execute_grid(workers=N)``) run on the supervised
-pool in :mod:`repro.robust.supervisor`.  Every speed-up in this package
-is exactness-preserving and covered by equivalence tests against the
-serial/uncached reference paths.
+Every speed-up in this package is exactness-preserving and covered by
+equivalence tests against the uncached reference paths.
 """
 
 from repro.perf.cache import SimulationCache, cache, simulation_key

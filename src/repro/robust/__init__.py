@@ -17,16 +17,8 @@ subsystem.  It provides:
   results against the analytical model (Eq. 1-6) and trace
   conservation, raising :class:`~repro.errors.InvariantError` on
   divergence.
-* :class:`SupervisorPolicy` / :func:`execute_grid_supervised` — the
-  supervised worker pool behind ``workers > 1``: crash recovery with
-  pool rebuilds and resubmission, per-point wall-clock/RSS ceilings
-  enforced inside the workers, hung-worker heartbeat detection,
-  solo-retry-then-quarantine for crash-looping points, and graceful
-  SIGINT/SIGTERM drain + journal flush.
 * A deterministic fault-injection harness (:mod:`repro.robust.faults`)
-  for testing all of the above — including :class:`WorkerFault` /
-  :func:`inject_worker_faults` for process-level chaos (SIGKILL,
-  freezes, memory hogs).
+  for testing all of the above.
 
 See ``docs/robustness.md`` for the full story.
 """
@@ -36,10 +28,8 @@ from repro.robust.executor import execute_grid, execute_point
 from repro.robust.faults import (
     Fault,
     InjectedFault,
-    WorkerFault,
     fault_scenario,
     inject_faults,
-    inject_worker_faults,
     scenario_seed,
 )
 from repro.robust.invariants import (
@@ -59,7 +49,6 @@ from repro.robust.report import (
     RunReport,
     exception_chain,
 )
-from repro.robust.supervisor import SupervisorPolicy, execute_grid_supervised
 
 __all__ = [
     "CheckpointStore",
@@ -67,14 +56,10 @@ __all__ = [
     "point_key",
     "execute_grid",
     "execute_point",
-    "SupervisorPolicy",
-    "execute_grid_supervised",
     "Fault",
     "InjectedFault",
-    "WorkerFault",
     "fault_scenario",
     "inject_faults",
-    "inject_worker_faults",
     "scenario_seed",
     "check_cycles",
     "check_layer_result",

@@ -42,9 +42,8 @@ class PointJournal(Protocol):
     :class:`CheckpointStore` is the JSONL reference implementation;
     :class:`repro.store.ledger.SweepLedger` is the durable columnar
     one.  Anything satisfying this protocol can be passed wherever a
-    ``checkpoint=`` is accepted (``execute_grid``, ``run_sweep``, the
-    supervised pool) — the executor only ever keys, reads, tests and
-    records points.
+    ``checkpoint=`` is accepted (``execute_grid``, ``run_sweep``) — the
+    executor only ever keys, reads, tests and records points.
     """
 
     version: str

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
-import pickle
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import CircuitOpenError, PointTimeoutError
 from repro.obs import metrics, trace
@@ -44,9 +43,6 @@ from repro.robust.report import (
     RunReport,
     exception_chain,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.robust.supervisor import SupervisorPolicy
 
 #: Default single-attempt, collect-mode policy used when none is given.
 DEFAULT_POLICY = ExecutionPolicy()
@@ -159,130 +155,6 @@ def execute_point(
         )
 
 
-class _GridRun:
-    """Shared bookkeeping between the serial and parallel grid drivers.
-
-    Both drivers funnel every point through the same four operations —
-    ``settle_skipped`` (breaker already open), ``try_replay``
-    (checkpoint resume), ``finish_executed`` (observe + journal + apply
-    failure semantics) and ``report`` — so ordering, journalling and
-    circuit-breaker behaviour are identical by construction.
-    """
-
-    def __init__(
-        self,
-        points: Sequence[Dict],
-        policy: ExecutionPolicy,
-        checkpoint: Optional[PointJournal],
-        clock: Callable[[], float],
-        on_progress: Optional[Callable[[ProgressSnapshot], None]],
-    ):
-        self.policy = policy
-        self.checkpoint = checkpoint
-        self.on_progress = on_progress
-        self.records: List[PointRecord] = []
-        self.failures = 0
-        self.tripped = False
-        self.progress = ProgressTracker(len(points), clock=clock)
-        metrics.gauge("sweep.points_total").set(len(points))
-
-    def key(self, index: int, params: Dict) -> str:
-        return self.checkpoint.key(params) if self.checkpoint is not None else str(index)
-
-    def settle(self, record: PointRecord) -> None:
-        self.records.append(record)
-        metrics.counter(f"robust.points_{record.status}").add()
-        snapshot = self.progress.update()
-        metrics.gauge("sweep.points_done").set(snapshot.done)
-        progress_logger.info("sweep %s [%s]", snapshot.describe(), record.status)
-        if self.on_progress is not None:
-            self.on_progress(snapshot)
-
-    def settle_skipped(self, params: Dict) -> None:
-        self.settle(
-            PointRecord(
-                params=params,
-                status=STATUS_SKIPPED,
-                attempts=0,
-                error=(
-                    f"circuit breaker open after {self.failures} failures "
-                    f"(max_failures={self.policy.max_failures})"
-                ),
-            )
-        )
-
-    def try_replay(self, params: Dict) -> bool:
-        """Replay ``params`` from the checkpoint journal if completed."""
-        if self.checkpoint is None or not self.checkpoint.completed(params):
-            return False
-        entry = self.checkpoint.get(params)
-        metrics.counter("robust.checkpoint_replays").add()
-        trace.event("robust.checkpoint_replay", key=self.checkpoint.key(params))
-        self.settle(
-            PointRecord(
-                params=params,
-                status=STATUS_CACHED,
-                attempts=0,
-                rows=tuple(entry.get("rows", ())),
-            )
-        )
-        return True
-
-    def finish_executed(self, record: PointRecord, params: Dict) -> None:
-        """Observe, settle and journal one executed record, then apply
-        the policy's failure semantics (may raise, may trip the breaker)."""
-        if metrics.enabled:
-            metrics.histogram("robust.point_seconds").observe(record.duration)
-            metrics.counter("robust.point_attempts").add(record.attempts)
-        self.settle(record)
-        if self.checkpoint is not None:
-            self.checkpoint.record(
-                params,
-                status=record.status,
-                rows=list(record.rows),
-                attempts=record.attempts,
-                duration=record.duration,
-                error=record.error,
-            )
-        if record.status == STATUS_FAILED:
-            self.failures += 1
-            if self.policy.mode == "fail_fast":
-                if record.exception is not None:
-                    raise record.exception
-                raise CircuitOpenError(
-                    f"point {params!r} failed after {record.attempts} attempt(s): "
-                    f"{record.error}"
-                )
-            if self.policy.max_failures is not None and self.failures >= self.policy.max_failures:
-                self.tripped = True
-                logger.warning(
-                    "circuit breaker tripped after %d failure(s); "
-                    "skipping the remaining points", self.failures,
-                )
-                trace.event("robust.circuit_open", failures=self.failures)
-
-    def report(self) -> RunReport:
-        return RunReport(records=self.records)
-
-
-def pickle_problem(
-    fn: Callable[..., object],
-    points: Sequence[Dict],
-    policy: ExecutionPolicy,
-) -> Optional[str]:
-    """Why this grid cannot cross a process boundary, or ``None`` if it can."""
-    for label, obj in (("the point callable", fn), ("the policy", policy)):
-        try:
-            pickle.dumps(obj)
-        except Exception as exc:  # noqa: BLE001 - any failure means fallback
-            return f"{label} is not picklable ({type(exc).__name__}: {exc})"
-    try:
-        pickle.dumps(list(points))
-    except Exception as exc:  # noqa: BLE001
-        return f"the grid points are not picklable ({type(exc).__name__}: {exc})"
-    return None
-
-
 def execute_grid(
     fn: Callable[..., object],
     points: Sequence[Dict],
@@ -291,11 +163,12 @@ def execute_grid(
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
     on_progress: Optional[Callable[[ProgressSnapshot], None]] = None,
-    workers: int = 1,
-    supervisor: Optional["SupervisorPolicy"] = None,
     estimates: Optional[Sequence[Optional[Sequence[Dict]]]] = None,
 ) -> RunReport:
     """Run every point through :func:`execute_point`, with journalling.
+
+    Points run one after another in the calling process, in ``points``
+    order:
 
     * Points already completed in ``checkpoint`` are replayed as
       ``cached`` records without re-execution (resume semantics).
@@ -304,20 +177,6 @@ def execute_grid(
     * In ``collect`` mode failures are recorded; once ``max_failures``
       of them accumulate, the remaining points are marked ``skipped``
       and a :class:`CircuitOpenError` record stops further execution.
-
-    ``workers > 1`` dispatches point execution to a supervised process
-    pool (see :mod:`repro.robust.supervisor`) while preserving all of
-    the above exactly — record order, retries, the circuit breaker
-    counted in points order, and the journal written only from this
-    process.  The supervisor additionally survives worker crashes
-    (rebuild + resubmit), enforces per-point wall-clock/RSS ceilings
-    inside the workers, quarantines crash-looping points, and drains +
-    flushes the journal on SIGINT/SIGTERM; tune it with a
-    :class:`~repro.robust.supervisor.SupervisorPolicy`.  The call
-    transparently falls back to serial execution when ``fn``,
-    ``points`` or ``policy`` cannot be pickled, or when non-default
-    ``sleep``/``clock`` callables are injected (worker processes always
-    run on real time).
 
     Progress telemetry: every settled point updates a
     :class:`~repro.obs.progress.ProgressTracker` whose snapshot (points
@@ -329,14 +188,12 @@ def execute_grid(
     ``estimates`` (aligned with ``points``) opts in to pruned-grid
     execution: a point whose entry is a row sequence settles as an
     ``estimated`` record carrying those rows — no ``fn`` call — while
-    ``None`` entries execute normally (serial or pooled).  Estimated
-    points are journalled under their own status, so a later ``exact``
-    run re-executes them while completed exact results are still
-    replayed as ``cached`` in preference to re-estimating.
+    ``None`` entries execute normally.  Estimated points are journalled
+    under their own status, so a later ``exact`` run re-executes them
+    while completed exact results are still replayed as ``cached`` in
+    preference to re-estimating.
     """
     policy = policy or DEFAULT_POLICY
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if estimates is not None:
         return _execute_pruned(
             fn,
@@ -347,51 +204,85 @@ def execute_grid(
             sleep=sleep,
             clock=clock,
             on_progress=on_progress,
-            workers=workers,
-            supervisor=supervisor,
         )
-    if workers > 1:
-        from repro.robust.supervisor import execute_grid_supervised
+    records: List[PointRecord] = []
+    failures = 0
+    tripped = False
+    progress = ProgressTracker(len(points), clock=clock)
+    metrics.gauge("sweep.points_total").set(len(points))
 
-        if sleep is not time.sleep or clock is not time.monotonic:
-            logger.warning(
-                "workers=%d requested with injected sleep/clock; worker "
-                "processes run on real time — executing serially instead",
-                workers,
-            )
-        else:
-            problem = pickle_problem(fn, points, policy)
-            if problem is None:
-                return execute_grid_supervised(
-                    fn,
-                    points,
-                    policy=policy,
-                    checkpoint=checkpoint,
-                    clock=clock,
-                    on_progress=on_progress,
-                    workers=workers,
-                    supervisor=supervisor,
-                )
-            logger.warning(
-                "workers=%d requested but %s; executing serially instead",
-                workers,
-                problem,
-            )
+    def settle(record: PointRecord) -> None:
+        records.append(record)
+        metrics.counter(f"robust.points_{record.status}").add()
+        snapshot = progress.update()
+        metrics.gauge("sweep.points_done").set(snapshot.done)
+        progress_logger.info("sweep %s [%s]", snapshot.describe(), record.status)
+        if on_progress is not None:
+            on_progress(snapshot)
 
-    run = _GridRun(points, policy, checkpoint, clock, on_progress)
     for index, params in enumerate(points):
-        if run.tripped:
-            run.settle_skipped(params)
+        if tripped:
+            settle(
+                PointRecord(
+                    params=params,
+                    status=STATUS_SKIPPED,
+                    attempts=0,
+                    error=(
+                        f"circuit breaker open after {failures} failures "
+                        f"(max_failures={policy.max_failures})"
+                    ),
+                )
+            )
             continue
-        if run.try_replay(params):
+        if checkpoint is not None and checkpoint.completed(params):
+            entry = checkpoint.get(params)
+            metrics.counter("robust.checkpoint_replays").add()
+            trace.event("robust.checkpoint_replay", key=checkpoint.key(params))
+            settle(
+                PointRecord(
+                    params=params,
+                    status=STATUS_CACHED,
+                    attempts=0,
+                    rows=tuple(entry.get("rows", ())),
+                )
+            )
             continue
-        key = run.key(index, params)
+        key = checkpoint.key(params) if checkpoint is not None else str(index)
         with trace.span("robust.grid_point", key=key):
             record = execute_point(
                 fn, params, policy=policy, key=key, sleep=sleep, clock=clock
             )
-        run.finish_executed(record, params)
-    return run.report()
+        if metrics.enabled:
+            metrics.histogram("robust.point_seconds").observe(record.duration)
+            metrics.counter("robust.point_attempts").add(record.attempts)
+        settle(record)
+        if checkpoint is not None:
+            checkpoint.record(
+                params,
+                status=record.status,
+                rows=list(record.rows),
+                attempts=record.attempts,
+                duration=record.duration,
+                error=record.error,
+            )
+        if record.status != STATUS_FAILED:
+            continue
+        failures += 1
+        if policy.mode == "fail_fast":
+            if record.exception is not None:
+                raise record.exception
+            raise CircuitOpenError(
+                f"point {params!r} failed after {record.attempts} attempt(s): "
+                f"{record.error}"
+            )
+        if policy.max_failures is not None and failures >= policy.max_failures:
+            tripped = True
+            logger.warning(
+                "circuit breaker tripped after %d failure(s); "
+                "skipping the remaining points", failures,
+            )
+            trace.event("robust.circuit_open", failures=failures)
+    return RunReport(records=records)
 
 
 def _execute_pruned(
@@ -403,16 +294,14 @@ def _execute_pruned(
     sleep: Callable[[float], None],
     clock: Callable[[], float],
     on_progress: Optional[Callable[[ProgressSnapshot], None]],
-    workers: int,
-    supervisor: Optional["SupervisorPolicy"],
 ) -> RunReport:
     """Pruned-grid execution plan: simulate the frontier, settle the rest.
 
     The frontier subset (``estimates[i] is None``) runs through the
-    normal :func:`execute_grid` machinery — serial or supervised pool,
-    retries, circuit breaker, checkpoint replay — and the pruned points
-    are merged back in original grid order as ``estimated`` records, so
-    rows, reports and journals keep the full grid's shape.
+    normal :func:`execute_grid` machinery — retries, circuit breaker,
+    checkpoint replay — and the pruned points are merged back in
+    original grid order as ``estimated`` records, so rows, reports and
+    journals keep the full grid's shape.
     """
     if len(estimates) != len(points):
         raise ValueError(
@@ -431,8 +320,6 @@ def _execute_pruned(
         sleep=sleep,
         clock=clock,
         on_progress=on_progress,
-        workers=workers,
-        supervisor=supervisor,
     )
     executed = iter(inner.records)
     records: List[PointRecord] = []

@@ -154,139 +154,6 @@ def fault_scenario(
     )
 
 
-WORKER_FAULT_KINDS = ("kill", "freeze", "hog", "sleep")
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """One scripted *process-level* misbehaviour for chaos testing.
-
-    Unlike :class:`Fault` (which raises exceptions the retry policy can
-    see), a worker fault attacks the worker process itself, exercising
-    the supervised pool's crash recovery:
-
-    * ``"kill"`` — the worker SIGKILLs itself (simulates a segfault or
-      an OOM kill; the parent sees :class:`BrokenProcessPool`).
-    * ``"freeze"`` — the worker SIGSTOPs itself for ``hold_seconds``
-      (simulates a wedged process; exercises heartbeat detection).
-    * ``"hog"`` — the worker allocates ``hog_mb`` MiB and holds it for
-      ``hold_seconds`` (exercises the RSS ceiling).
-    * ``"sleep"`` — the worker sleeps ``hold_seconds`` inside the point
-      (exercises the wall-clock ceiling).
-
-    ``when`` is a parameter subset that must match the call; ``times``
-    caps the total firings *across all worker processes*: because a
-    killed worker loses its memory, firing state lives in marker files
-    under ``marker_dir``, claimed atomically (``O_CREAT | O_EXCL``) so
-    restarted workers see prior firings and a point that killed its
-    worker once completes normally on resubmission.
-    """
-
-    kind: str
-    marker_dir: str
-    when: Optional[Dict] = None
-    times: int = 1
-    hog_mb: int = 256
-    hold_seconds: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"kind must be one of {WORKER_FAULT_KINDS}, got {self.kind!r}"
-            )
-        if self.times < 1:
-            raise ValueError(f"times must be >= 1, got {self.times}")
-        if self.hog_mb < 1:
-            raise ValueError(f"hog_mb must be >= 1, got {self.hog_mb}")
-        if self.hold_seconds < 0:
-            raise ValueError(f"hold_seconds must be >= 0, got {self.hold_seconds}")
-
-    def matches(self, params: Dict) -> bool:
-        if self.when is None:
-            return True
-        return all(params.get(key) == value for key, value in self.when.items())
-
-    def claim(self, params: Dict) -> bool:
-        """Atomically claim one firing; ``False`` once ``times`` is spent."""
-        import hashlib
-        import os
-
-        digest = hashlib.sha256(
-            f"{self.kind}:{_describe(params)}".encode()
-        ).hexdigest()[:16]
-        for slot in range(self.times):
-            marker = os.path.join(self.marker_dir, f"wf-{digest}-{slot}")
-            try:
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-                return True
-            except FileExistsError:
-                continue
-        return False
-
-    def trigger(self, params: Dict) -> None:
-        import os
-        import signal as _signal
-        import time as _time
-
-        from repro.obs import metrics, trace
-
-        metrics.counter("robust.worker_faults_injected").add()
-        trace.event("robust.worker_fault", kind=self.kind)
-        if self.kind == "kill":
-            os.kill(os.getpid(), _signal.SIGKILL)
-        elif self.kind == "freeze":
-            pid = os.getpid()
-            # SIGSTOP halts every thread, so self-rescue needs a helper
-            # process: fork a child that thaws us after hold_seconds in
-            # case no supervisor kills the frozen worker first.
-            if os.fork() == 0:  # pragma: no cover - trivial helper child
-                # Drop every inherited fd: holding the worker's pipe
-                # ends would keep the pool's death-detection sentinel
-                # from firing while the helper outlives the worker.
-                os.closerange(3, 4096)
-                _time.sleep(self.hold_seconds)
-                try:
-                    os.kill(pid, _signal.SIGCONT)
-                except ProcessLookupError:
-                    pass
-                os._exit(0)
-            os.kill(pid, _signal.SIGSTOP)
-        elif self.kind == "hog":
-            hog = bytearray(self.hog_mb << 20)
-            hog[:: 1 << 12] = b"\x01" * len(hog[:: 1 << 12])  # touch every page
-            _time.sleep(self.hold_seconds)
-            del hog
-        elif self.kind == "sleep":
-            _time.sleep(self.hold_seconds)
-
-
-class _WorkerFaultInjector:
-    """Picklable wrapper firing :class:`WorkerFault` s before the point."""
-
-    def __init__(self, fn: Callable[..., object], faults: tuple):
-        self.fn = fn
-        self.faults = faults
-
-    def __call__(self, **params: object) -> object:
-        for fault in self.faults:
-            if fault.matches(params) and fault.claim(params):
-                fault.trigger(params)
-        return self.fn(**params)
-
-
-def inject_worker_faults(
-    fn: Callable[..., object], *faults: WorkerFault
-) -> Callable[..., object]:
-    """Wrap ``fn`` so scripted :class:`WorkerFault` s attack the worker.
-
-    The wrapper is picklable whenever ``fn`` is, and firing state lives
-    in each fault's ``marker_dir``, so injection is deterministic across
-    worker restarts: matching unclaimed faults fire in order before the
-    point runs (a ``kill`` never returns, so it ends the sequence).
-    """
-    return _WorkerFaultInjector(fn, tuple(faults))
-
-
 def inject_faults(fn: Callable[..., object], *faults: Fault) -> Callable[..., object]:
     """Wrap ``fn`` so the scripted ``faults`` fire on matching calls.
 

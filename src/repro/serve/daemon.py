@@ -29,7 +29,7 @@ Admission control (the "stays up under abuse" contract):
   ``/health`` reports the degradation.
 * **Graceful shutdown.**  SIGTERM/SIGINT stop admission (503 for new
   requests), drain in-flight jobs up to ``drain_timeout`` seconds, then
-  exit cleanly — mirroring the supervised pool's sweep drain.
+  exit cleanly.
 
 Endpoints::
 

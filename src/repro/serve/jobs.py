@@ -17,9 +17,8 @@ hash of the canonical form plus the package version — is identical for
 semantically identical requests; the daemon's single-flight table and
 the result store both dedup on that property.
 
-The execution helpers here are module-level functions so the
-supervised pool can pickle them, and the CLI ``sweep`` subcommand
-shares :func:`sweep_measure` instead of keeping its own copy.
+The CLI ``sweep`` subcommand shares :func:`sweep_measure` instead of
+keeping its own copy.
 """
 
 from __future__ import annotations
@@ -78,8 +77,7 @@ def sweep_ledger_version(layer: str, workload: str, macs: int) -> str:
 
 
 def sweep_measure(partitions: int, layer=None, macs: int = 0) -> dict:
-    """One partition-sweep point; module-level so worker processes can
-    unpickle it (closures cannot cross the process boundary)."""
+    """One partition-sweep point."""
     from repro.engine.scaleout import ScaleOutSimulator
 
     grid = square_grid(partitions)

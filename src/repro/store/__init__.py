@@ -2,8 +2,8 @@
 
 Promotes the in-process LRU of :mod:`repro.perf.cache` to a crash-safe
 cross-run cache on disk: identical grid points simulate once, ever.
-See :mod:`repro.store.runtime` for how the engine and worker processes
-find the active store.
+See :mod:`repro.store.runtime` for how the engine finds the active
+store.
 
 :mod:`repro.store.ledger` adds the columnar sweep ledger — sealed,
 checksummed segments (:mod:`repro.store.segment`) that make whole

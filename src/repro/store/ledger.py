@@ -148,7 +148,7 @@ class SweepLedger:
 
     Satisfies the :class:`~repro.robust.checkpoint.PointJournal`
     protocol, so any ``checkpoint=`` site (``execute_grid``,
-    ``run_sweep``, the supervised pool) accepts a ledger unchanged.
+    ``run_sweep``) accepts a ledger unchanged.
     Thread-safe; ``docs/robustness.md`` has the writer model.
     """
 

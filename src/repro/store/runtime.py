@@ -5,15 +5,13 @@ The engine does not know where (or whether) results persist; it calls
 in-process LRU uses, and this module maps that onto whichever
 :class:`~repro.store.result_store.ResultStore` is active:
 
-* :func:`configure` opens (or creates) a store and exports its path in
-  the ``REPRO_RESULT_STORE`` environment variable, so worker processes
-  spawned afterwards (the supervised pool, the daemon's job runners)
-  inherit the same store and lazily open it on first use — no plumbing
-  through the executor signatures.
-* :func:`disable` turns persistence off for this process tree (the CLI
-  ``--no-store`` flag), overriding any inherited environment.
+* :func:`configure` opens (or creates) a store for this process (the
+  CLI ``--store`` flag); the daemon's job threads share it.
+* :func:`disable` turns persistence off for this process (the CLI
+  ``--no-store`` flag), overriding ``REPRO_RESULT_STORE``.
 * :func:`active` resolves the current store: the explicitly configured
-  one, else a lazy open of the environment path, else ``None``.
+  one, else a lazy open of a user-set ``REPRO_RESULT_STORE`` path, else
+  ``None``.
 
 Store keys are the :func:`repro.obs.config_hash` of the simulation key
 plus the package version — the "config-hash stamping" contract from
@@ -39,8 +37,8 @@ from repro.store.result_store import ResultStore
 
 logger = logging.getLogger("repro.store")
 
-#: Environment variable carrying the active store path across process
-#: boundaries (empty string = persistence explicitly disabled).
+#: Environment variable naming a store to open on first use when no
+#: :func:`configure`/:func:`disable` call came first.
 STORE_ENV_VAR = "REPRO_RESULT_STORE"
 
 _active: Optional[ResultStore] = None
@@ -56,30 +54,28 @@ def store_key(sim_key: Hashable) -> str:
 
 
 def configure(root: Union[str, Path], writable: bool = True) -> ResultStore:
-    """Activate a persistent result store for this process tree."""
+    """Activate a persistent result store for this process."""
     global _active, _configured, _env_failed
     store = ResultStore(root, writable=writable)
     _active = store
     _configured = True
     _env_failed = None
-    os.environ[STORE_ENV_VAR] = str(store.root)
     logger.info("result store active at %s", store.root)
     return store
 
 
 def disable() -> None:
-    """Turn persistence off for this process and its future workers."""
+    """Turn persistence off for this process."""
     global _active, _configured
     _active = None
     _configured = True
-    os.environ[STORE_ENV_VAR] = ""
 
 
 def deactivate() -> None:
-    """Forget any active store *without* poisoning the environment.
+    """Forget any active store and any ``REPRO_RESULT_STORE`` value.
 
-    Test hook: returns the module to its import-time state so the
-    environment variable (if any) is re-resolved on next use.
+    Test hook: returns the module to its import-time state, so a test
+    that sets the environment variable has it re-resolved on next use.
     """
     global _active, _configured, _env_failed
     _active = None

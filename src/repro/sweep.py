@@ -37,7 +37,6 @@ from repro.robust.checkpoint import CheckpointStore
 from repro.robust.executor import execute_grid
 from repro.robust.policy import ExecutionPolicy
 from repro.robust.report import RunReport
-from repro.robust.supervisor import SupervisorPolicy
 from repro.utils.atomicio import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - hint-only import
@@ -96,18 +95,11 @@ class _FreshLedgerView:
         return self.ledger.record(params, status, **kwargs)
 
 
-class _CheckedCallable:
-    """Wrap ``fn`` to reject result keys that collide with parameters.
+def _checked(fn: Callable[..., Union[Dict, Sequence[Dict]]]) -> Callable:
+    """Wrap ``fn`` to reject result keys that collide with parameters."""
 
-    A class (rather than a closure) so the wrapper stays picklable
-    whenever ``fn`` is — required for multiprocess sweeps.
-    """
-
-    def __init__(self, fn: Callable[..., Union[Dict, Sequence[Dict]]]):
-        self.fn = fn
-
-    def __call__(self, **params):
-        outcome = self.fn(**params)
+    def checked(**params):
+        outcome = fn(**params)
         results = outcome if isinstance(outcome, (list, tuple)) else [outcome]
         for result in results:
             overlap = set(params) & set(result)
@@ -117,10 +109,7 @@ class _CheckedCallable:
                 )
         return [{**params, **result} for result in results]
 
-
-def _checked(fn: Callable[..., Union[Dict, Sequence[Dict]]]) -> Callable:
-    """Wrap ``fn`` to reject result keys that collide with parameters."""
-    return _CheckedCallable(fn)
+    return checked
 
 
 def run_sweep_report(
@@ -129,8 +118,6 @@ def run_sweep_report(
     policy: Optional[ExecutionPolicy] = None,
     checkpoint: Optional[Union[str, Path, CheckpointStore]] = None,
     on_progress: Optional[Callable[[ProgressSnapshot], None]] = None,
-    workers: int = 1,
-    supervisor: Optional[SupervisorPolicy] = None,
     estimator: Optional[Callable[..., Tuple[Dict, float]]] = None,
     top_k: Optional[int] = None,
     prune_band: Optional[float] = None,
@@ -145,14 +132,8 @@ def run_sweep_report(
     every result row.  With ``skip_errors=True`` (or a collect-mode
     ``policy``), a point that exhausts its retries contributes one row
     with stable ``status`` and ``error`` columns instead of aborting the
-    sweep.  The report accounts for every grid point regardless.
-
-    ``workers > 1`` evaluates grid points on a supervised process pool
-    with byte-identical rows, report and checkpoint journal (serial
-    fallback when ``fn`` is not picklable) — see
-    :mod:`repro.robust.supervisor`.  ``supervisor`` tunes the pool's
-    crash recovery, per-point wall-clock/RSS ceilings, hung-worker
-    heartbeats and quarantine thresholds.
+    sweep.  The report accounts for every grid point regardless.  Points
+    run one after another in the calling process.
 
     ``on_progress`` receives one
     :class:`~repro.obs.progress.ProgressSnapshot` per settled point
@@ -217,8 +198,6 @@ def run_sweep_report(
             policy=policy,
             checkpoint=journal,
             on_progress=on_progress,
-            workers=workers,
-            supervisor=supervisor,
             estimates=estimates,
         )
         return report.rows(), report
@@ -236,8 +215,6 @@ def run_sweep(
     skip_errors: bool = False,
     policy: Optional[ExecutionPolicy] = None,
     checkpoint: Optional[Union[str, Path, CheckpointStore]] = None,
-    workers: int = 1,
-    supervisor: Optional[SupervisorPolicy] = None,
     estimator: Optional[Callable[..., Tuple[Dict, float]]] = None,
     top_k: Optional[int] = None,
     prune_band: Optional[float] = None,
@@ -253,19 +230,16 @@ def run_sweep(
     contributes one row with ``status`` and ``error`` columns instead of
     aborting the sweep.  ``policy`` and ``checkpoint`` opt in to the
     fault-tolerant machinery (retries, timeouts, resumable journals),
-    ``workers`` to multiprocess execution, ``estimator`` / ``top_k`` /
-    ``prune_band`` / ``exact`` to analytical pruning, and ``ledger`` /
-    ``incremental`` to the crash-safe columnar sweep ledger — see
-    :func:`run_sweep_report` for the full contract and the per-point
-    accounting.
+    ``estimator`` / ``top_k`` / ``prune_band`` / ``exact`` to analytical
+    pruning, and ``ledger`` / ``incremental`` to the crash-safe columnar
+    sweep ledger — see :func:`run_sweep_report` for the full contract
+    and the per-point accounting.
     """
     rows, _ = run_sweep_report(
         fn,
         skip_errors=skip_errors,
         policy=policy,
         checkpoint=checkpoint,
-        workers=workers,
-        supervisor=supervisor,
         estimator=estimator,
         top_k=top_k,
         prune_band=prune_band,

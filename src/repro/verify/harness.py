@@ -71,7 +71,7 @@ def _check(prop: Property, payload) -> List[Violation]:
     if metrics.enabled:
         metrics.counter("verify.checks").add()
         metrics.counter(f"verify.checks.{prop.name}").add()
-    violations = prop.check(payload) if payload is not None else prop.check()
+    violations = prop.check(payload)
     if violations and metrics.enabled:
         metrics.counter("verify.violations").add(len(violations))
     return violations
@@ -125,7 +125,6 @@ def run_verify(
         raise VerificationError(f"--budget must be positive, got {budget}")
     chosen = resolve_properties(props)
     case_props = [p for p in chosen if p.kind == "case"]
-    session_props = [p for p in chosen if p.kind == "session"]
     topo_props = [p for p in chosen if p.kind == "text-topology"]
     config_props = [p for p in chosen if p.kind == "text-config"]
 
@@ -151,14 +150,6 @@ def run_verify(
                 if metrics.enabled:
                     metrics.counter("verify.bundles").add()
                 logger.error("regression bundle written to %s", path)
-
-    # Session-level properties run once, up front (they are the most
-    # expensive individually but amortize over the whole invocation).
-    for prop in session_props:
-        if time.monotonic() >= deadline:
-            break
-        with trace.span("verify.session_prop", prop=prop.name):
-            record(prop, _check(prop, None))
 
     index = 0
     while time.monotonic() < deadline and report.cases_run < cap:

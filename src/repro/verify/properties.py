@@ -23,8 +23,6 @@ model predicts the absolute numbers:
   is bit-identical to the scalar reference channel on the case's layer
   trace and on a seeded random trace, across channels, refresh and
   reorder windows;
-* ``serial_parallel`` — a worker-pool sweep is row-identical to the
-  serial walk (session-level: runs once per harness invocation);
 * ``parser_topology`` / ``parser_config`` — adversarial parser inputs
   either parse to sane values or raise the *typed* error with a
   line-numbered message; any other exception is a finding.
@@ -36,7 +34,6 @@ shrinker and the regression-corpus replayer can address it by name.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -482,31 +479,6 @@ def prop_dram(case: VerifyCase) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
-# Session property: serial vs. parallel sweep byte-identity
-# ----------------------------------------------------------------------
-def prop_serial_parallel(_case: Optional[VerifyCase] = None) -> List[Violation]:
-    """A 2-worker pool sweep must produce row-identical results."""
-    from repro.serve.jobs import sweep_measure
-    from repro.sweep import run_sweep_report
-    from repro.topology.layer import GemmLayer
-
-    layer = GemmLayer(name="verify_pp", m=33, k=9, n=17)
-    measure = functools.partial(sweep_measure, layer=layer, macs=1024)
-    serial_rows, _ = run_sweep_report(measure, partitions=[1, 4])
-    parallel_rows, _ = run_sweep_report(measure, workers=2, partitions=[1, 4])
-    if serial_rows != parallel_rows:
-        return [
-            Violation(
-                prop="serial_parallel",
-                message="parallel sweep rows diverge from the serial walk",
-                expected=repr(serial_rows),
-                actual=repr(parallel_rows),
-            )
-        ]
-    return []
-
-
-# ----------------------------------------------------------------------
 # Parser fuzz properties (text inputs)
 # ----------------------------------------------------------------------
 _TOPOLOGY_DIM_BOUND = 2**31
@@ -577,7 +549,7 @@ class Property:
     """One named verification property the harness can schedule."""
 
     name: str
-    kind: str  # "case" | "text-topology" | "text-config" | "session"
+    kind: str  # "case" | "text-topology" | "text-config"
     check: Callable[..., List[Violation]]
     doc: str
 
@@ -612,8 +584,6 @@ PROPERTIES: Dict[str, Property] = {
                  "vectorized numpy kernels bit-identical to the scalar model"),
         Property("dram", "case", prop_dram,
                  "columnar DRAM replay bit-identical to the scalar channel"),
-        Property("serial_parallel", "session", prop_serial_parallel,
-                 "2-worker sweep row-identical to serial (runs once)"),
         Property("parser_topology", "text-topology", check_topology_text,
                  "topology parser: typed errors or sane layers only"),
         Property("parser_config", "text-config", check_config_text,

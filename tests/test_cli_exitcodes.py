@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_CODES, EXIT_INCOMPLETE, EXIT_POOL_LOSS, exit_code_for, main
+import repro.cli
+from repro.cli import EXIT_CODES, EXIT_INCOMPLETE, exit_code_for, main
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -14,11 +15,8 @@ from repro.errors import (
     ReproError,
     ResilienceError,
     SimulationError,
-    SupervisorExhaustedError,
-    SweepInterrupted,
     TopologyError,
     VerificationError,
-    WorkerCrashError,
 )
 
 
@@ -38,9 +36,6 @@ class TestExitCodeMapping:
             (InvariantError("x"), 9),
             (PointTimeoutError("x"), 10),  # via the ExecutionError base
             (ResilienceError("x"), 11),
-            (SweepInterrupted("x"), 12),
-            (WorkerCrashError("x"), 13),
-            (SupervisorExhaustedError("x"), 13),  # via the WorkerCrashError base
             (VerificationError("x"), 16),
             (PerfRegressionError("x"), 17),
             (ReproError("x"), 1),  # no dedicated code -> generic failure
@@ -48,10 +43,6 @@ class TestExitCodeMapping:
     )
     def test_mapping(self, exc, code):
         assert exit_code_for(exc) == code
-
-    def test_interrupt_and_pool_loss_reuse_documented_constants(self):
-        assert exit_code_for(SweepInterrupted("x")) == EXIT_INCOMPLETE
-        assert exit_code_for(SupervisorExhaustedError("x")) == EXIT_POOL_LOSS
 
     def test_verification_error_uses_documented_constant(self):
         from repro.cli import EXIT_VERIFICATION
@@ -153,50 +144,62 @@ class TestResilienceCli:
         assert capsys.readouterr().out == first
 
 
-class TestWorkersValidation:
-    def test_workers_zero_exits_2(self, capsys):
-        code = main(["sweep", "--layer", "TF0", "--macs", "1024", "--workers", "0"])
-        assert code == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+class TestDeprecatedWorkers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--layer", "TF0", "--macs", "16384"],
+            ["resilience", "--layer", "TF0", "--macs", "16384", "--dead", "0,1"],
+            ["reproduce", "table4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_workers_is_a_warned_no_op(self, argv, capsys):
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--workers", "2"]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        warnings = [
+            line for line in flagged.err.splitlines() if line.startswith("WARNING")
+        ]
+        assert len(warnings) == 1
+        assert "--workers" in warnings[0]
 
-    def test_workers_negative_exits_2(self, capsys):
-        code = main(["sweep", "--layer", "TF0", "--macs", "1024", "--workers", "-3"])
-        assert code == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
 
-    def test_workers_above_cpu_count_warn_and_cap(self, caplog):
-        import logging
-        import os
+class TestInterruptExit:
+    ARGV = ["sweep", "--layer", "TF0", "--macs", "16384"]  # 1,4,16,64,256 partitions
 
-        from repro.cli import _robust_workers, build_parser
+    def test_ctrl_c_flushes_journal_exits_12_and_resumes_exactly(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert main(self.ARGV) == 0
+        uninterrupted = capsys.readouterr().out
 
-        huge = (os.cpu_count() or 1) * 64
-        args = build_parser().parse_args(
-            ["sweep", "--layer", "TF0", "--macs", "1024", "--workers", str(huge)]
-        )
-        cli_logger = logging.getLogger("repro.cli")
-        cli_logger.addHandler(caplog.handler)
-        try:
-            with caplog.at_level(logging.WARNING, logger="repro.cli"):
-                capped = _robust_workers(args)
-        finally:
-            cli_logger.removeHandler(caplog.handler)
-        assert capped == (os.cpu_count() or 1)
-        assert any("capping" in record.message for record in caplog.records)
+        real = repro.cli.sweep_measure
+        calls = []
 
-    def test_bad_quarantine_exits_2(self, capsys):
-        code = main(
-            ["sweep", "--layer", "TF0", "--macs", "1024", "--quarantine", "0"]
-        )
-        assert code == 2
-        assert "quarantine_after" in capsys.readouterr().err
+        def interrupt_at_16(partitions, **kwargs):
+            if partitions == 16:
+                raise KeyboardInterrupt
+            return real(partitions, **kwargs)
 
-    def test_bad_point_timeout_exits_2(self, capsys):
-        code = main(
-            ["sweep", "--layer", "TF0", "--macs", "1024", "--point-timeout", "-1"]
-        )
-        assert code == 2
-        assert "point_timeout" in capsys.readouterr().err
+        def counting(partitions, **kwargs):
+            calls.append(partitions)
+            return real(partitions, **kwargs)
+
+        journal = tmp_path / "sweep.jsonl"
+        argv = self.ARGV + ["--checkpoint", str(journal)]
+        monkeypatch.setattr(repro.cli, "sweep_measure", interrupt_at_16)
+        assert main(argv) == EXIT_INCOMPLETE == 12
+        assert "error: interrupted" in capsys.readouterr().err
+        entries = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [entry["status"] for entry in entries] == ["ok", "ok"]
+
+        monkeypatch.setattr(repro.cli, "sweep_measure", counting)
+        assert main(argv + ["--resume"]) == 0
+        assert calls == [16, 64, 256]
+        assert capsys.readouterr().out == uninterrupted
 
 
 class TestSweepRobustFlags:

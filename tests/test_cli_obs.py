@@ -279,12 +279,10 @@ class TestIncompleteExit:
         ])
         assert code == EXIT_INCOMPLETE
         assert EXIT_INCOMPLETE not in (0, EXIT_FAILURE)
-        # 12 is shared deliberately: a graceful SweepInterrupted drain
-        # *is* an incomplete sweep. No other error class may claim it.
-        from repro.errors import SweepInterrupted
-
+        # 12 means "the sweep ran but is incomplete" (breaker trip,
+        # skips, Ctrl-C); no error class may claim it.
         claimants = {exc for exc, c in EXIT_CODES if c == EXIT_INCOMPLETE}
-        assert claimants == {SweepInterrupted}
+        assert claimants == set()
 
     def test_complete_sweep_returns_zero(self, capsys):
         assert main([

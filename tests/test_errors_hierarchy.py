@@ -28,38 +28,10 @@ from repro.errors import (
     SimulationError,
     StorageError,
     StoreCorruptionError,
-    SupervisorExhaustedError,
     SweepError,
-    SweepInterrupted,
     TopologyError,
     VerificationError,
-    WorkerCrashError,
 )
-
-
-def _exit_immediately(x):
-    """A point that always kills its worker process (module-level so it
-    pickles by reference into the pool)."""
-    import os
-
-    os._exit(1)
-
-
-class _SignalParentThenHang:
-    """First point SIGINTs the supervising parent, then sleeps so the
-    sweep has undrained work when the interrupt is honoured."""
-
-    def __call__(self, x):
-        import os
-        import signal
-        import time
-
-        if x == 1:
-            os.kill(os.getppid(), signal.SIGINT)
-            time.sleep(2.0)
-        else:
-            time.sleep(0.2)
-        return {"sq": x * x}
 
 
 def _raise_config_error():
@@ -156,44 +128,6 @@ def _raise_resilience_error():
     from repro.resilience.faultmap import FaultMap
 
     FaultMap.from_spec("partition:not-a-coord")
-
-
-def _raise_worker_crash_error():
-    from repro.robust.policy import ExecutionPolicy
-    from repro.robust.supervisor import SupervisorPolicy
-    from repro.sweep import run_sweep
-
-    # fail_fast + a point that always kills its worker: after the
-    # quarantine threshold and the solo retry, the failure re-raises as
-    # WorkerCrashError.
-    run_sweep(
-        _exit_immediately,
-        policy=ExecutionPolicy(mode="fail_fast"),
-        workers=2,
-        supervisor=SupervisorPolicy(quarantine_after=1),
-        x=[1],
-    )
-
-
-def _raise_supervisor_exhausted_error():
-    from repro.robust.supervisor import SupervisorPolicy
-    from repro.sweep import run_sweep
-
-    # max_restarts=0: the first pool loss exhausts the supervisor.
-    run_sweep(
-        _exit_immediately,
-        workers=2,
-        supervisor=SupervisorPolicy(max_restarts=0),
-        x=[1],
-    )
-
-
-def _raise_sweep_interrupted():
-    from repro.sweep import run_sweep
-
-    # A worker SIGINTs this (supervising) process mid-sweep; the
-    # supervisor drains completed futures and raises SweepInterrupted.
-    run_sweep(_SignalParentThenHang(), workers=2, x=[1, 2, 3, 4])
 
 
 def _raise_storage_error():
@@ -295,10 +229,7 @@ DOCUMENTED_SITES = {
     CheckpointError: _raise_checkpoint_error,
     InvariantError: _raise_invariant_error,
     ResilienceError: _raise_resilience_error,
-    WorkerCrashError: _raise_worker_crash_error,
-    SupervisorExhaustedError: _raise_supervisor_exhausted_error,
     SweepError: _raise_sweep_error,
-    SweepInterrupted: _raise_sweep_interrupted,
     StorageError: _raise_storage_error,
     LedgerCorruptionError: _raise_ledger_corruption_error,
     StoreCorruptionError: _raise_store_corruption_error,
@@ -332,9 +263,6 @@ class TestHierarchy:
     def test_execution_errors_share_a_base(self):
         assert issubclass(PointTimeoutError, ExecutionError)
         assert issubclass(CircuitOpenError, ExecutionError)
-        assert issubclass(WorkerCrashError, ExecutionError)
-        assert issubclass(SupervisorExhaustedError, WorkerCrashError)
-        assert issubclass(SweepInterrupted, ExecutionError)
 
     def test_every_leaf_class_has_a_documented_site(self):
         missing = [

@@ -80,6 +80,6 @@ def test_utils_imports_only_errors():
 
 def test_edges_are_found():
     # Guard the walker itself: a lazy import inside a function counts.
-    assert ("repro.robust.executor", "repro.robust.supervisor") in set(
-        _edges("repro.robust")
+    assert ("repro.store.runtime", "repro._version") in set(
+        _edges("repro.store")
     )

@@ -13,10 +13,8 @@ Three families of drills pin the PR's contract:
   entries are byte-identical to the originals.
 * **Ledger-vs-JSONL byte identity.**  As an ``execute_grid`` sink the
   ledger must be indistinguishable from the checkpoint journal —
-  serial, ``workers=2``, analytically pruned, and across a mid-sweep
-  interruption + incremental resume.
-
-All point callables live at module level so they pickle by reference.
+  serial, analytically pruned, and across a mid-sweep interruption +
+  incremental resume.
 """
 
 from __future__ import annotations
@@ -215,14 +213,6 @@ def assert_identical(checkpoint, rows_ck, ledger, rows_led):
 
 def test_serial_ledger_matches_checkpoint(tmp_path):
     checkpoint, rows_ck, _, ledger, rows_led, _ = paired_run(tmp_path, "serial")
-    assert_identical(checkpoint, rows_ck, ledger, rows_led)
-    ledger.close()
-
-
-def test_parallel_ledger_matches_checkpoint(tmp_path):
-    checkpoint, rows_ck, _, ledger, rows_led, _ = paired_run(
-        tmp_path, "parallel", workers=2
-    )
     assert_identical(checkpoint, rows_ck, ledger, rows_led)
     ledger.close()
 

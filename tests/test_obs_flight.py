@@ -149,12 +149,12 @@ class TestLoadAndRender:
             pass
         registry.counter("sim.cycles").add(7)
         logging.getLogger("repro.test").error("the last words")
-        path = recorder.dump("WorkerCrashError: pool lost", exit_code=13)
+        path = recorder.dump("StorageError: disk full", exit_code=14)
         recorder.disarm()
 
         text = render_flight_summary(load_flight(path))
-        assert "WorkerCrashError" in text
-        assert "exit code 13" in text
+        assert "StorageError" in text
+        assert "exit code 14" in text
         assert "engine.run_layer" in text
         assert "sim.cycles" in text
         assert "the last words" in text

@@ -12,8 +12,6 @@ import pytest
 from repro.errors import InstrumentKindError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.service import (
-    CORRELATION_ENV,
-    correlation_id_from_env,
     mangle,
     new_correlation_id,
     parse_prometheus_text,
@@ -40,14 +38,6 @@ class TestCorrelationIds:
         for cid in ids:
             assert len(cid) == 16
             int(cid, 16)  # hex
-
-    def test_env_round_trip(self, monkeypatch):
-        monkeypatch.delenv(CORRELATION_ENV, raising=False)
-        assert correlation_id_from_env() is None
-        monkeypatch.setenv(CORRELATION_ENV, "  ")
-        assert correlation_id_from_env() is None
-        monkeypatch.setenv(CORRELATION_ENV, "abc123")
-        assert correlation_id_from_env() == "abc123"
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The store runtime: engine wiring, env propagation, byte-identity.
+"""The store runtime: engine wiring, environment lookup, byte-identity.
 
 The headline acceptance criterion lives here: a simulation served from
 the persistent store is *byte-identical* to a cold run — same
@@ -44,20 +44,14 @@ def _simulate(m=24, k=16, n=20):
 
 
 # ----------------------------------------------------------------------
-# Configuration & environment propagation
+# Configuration & environment lookup
 # ----------------------------------------------------------------------
-
-def test_configure_sets_environment_for_workers(tmp_path):
-    store = configure(tmp_path / "s")
-    assert os.environ[STORE_ENV_VAR] == str(store.root)
-    assert active() is store
-
 
 def test_disable_overrides_inherited_environment(tmp_path):
     configure(tmp_path / "s")
+    os.environ[STORE_ENV_VAR] = str(tmp_path / "s")
     disable()
     assert active() is None
-    assert os.environ[STORE_ENV_VAR] == ""
 
 
 def test_active_lazily_opens_from_environment(tmp_path):

@@ -24,7 +24,6 @@ class TestCleanRun:
     def test_every_property_gets_scheduled(self):
         report = run_verify(budget=20.0, seed=3, max_cases=40)
         assert report.checks_by_prop["models"] == 40
-        assert report.checks_by_prop["serial_parallel"] == 1
         assert report.checks_by_prop["parser_topology"] == 40
         assert report.checks_by_prop.get("golden", 0) >= 1
 

@@ -14,7 +14,6 @@ from repro.verify.properties import (
     prop_monotone_array,
     prop_monotone_batch,
     prop_permutation,
-    prop_serial_parallel,
     resolve_properties,
 )
 
@@ -50,9 +49,6 @@ class TestMetamorphicPass:
         was_enabled = cache.enabled
         prop_cache_identity(CASES[1])
         assert cache.enabled == was_enabled
-
-    def test_serial_parallel(self):
-        assert prop_serial_parallel() == []
 
 
 class TestParserProperties:
@@ -94,7 +90,7 @@ class TestRegistry:
         assert set(PROPERTIES) == {
             "models", "shape_classes", "golden", "conservation",
             "monotone_array", "monotone_batch", "permutation",
-            "cache_identity", "vectorized", "dram", "serial_parallel",
+            "cache_identity", "vectorized", "dram",
             "parser_topology", "parser_config",
         }
 
