@@ -20,12 +20,11 @@ import time
 
 from conftest import run_once
 
-from repro.serve.jobs import sweep_measure
 from repro.config.presets import paper_scaling_config
 from repro.engine.simulator import Simulator
 from repro.perf.cache import cache
-from repro.sweep import run_sweep
-from repro.workloads import get_workload
+from repro.sweep import run_sweep, sweep_measure
+from repro.workloads.registry import get_workload
 from repro.workloads.language import language_layer
 
 

@@ -18,7 +18,7 @@ import sys
 from repro import paper_scaling_config
 from repro.engine.pipeline import run_pipelined
 from repro.viz import bar_chart
-from repro.workloads import alexnet
+from repro.workloads.alexnet import alexnet
 
 NUM_STAGES = int(sys.argv[1]) if len(sys.argv) > 1 else 4
 

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ConvLayer, Dataflow, HardwareConfig, Simulator, render_report
-from repro.workloads import alexnet
+from repro.workloads.alexnet import alexnet
 
 # 1. Hardware: a 32x32 output-stationary array with double-buffered SRAMs.
 config = HardwareConfig(

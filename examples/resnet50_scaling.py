@@ -21,7 +21,7 @@ from repro import (
     best_scaleup,
     paper_scaling_config,
 )
-from repro.workloads import resnet50
+from repro.workloads.resnet50 import resnet50
 
 TOTAL_MACS = int(sys.argv[1]) if len(sys.argv) > 1 else 2**14
 

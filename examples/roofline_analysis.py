@@ -16,7 +16,7 @@ from repro import Simulator, paper_scaling_config
 from repro.engine.roofline import roofline_point
 from repro.engine.summary import summarize_run
 from repro.viz import bar_chart
-from repro.workloads import resnet50
+from repro.workloads.resnet50 import resnet50
 
 BANDWIDTH = float(sys.argv[1]) if len(sys.argv) > 1 else 32.0
 

@@ -3,7 +3,7 @@
 Paper: "A Systematic Methodology for Characterizing Scalability of DNN
 Accelerators using SCALE-Sim" (Samajdar et al., ISPASS 2020).
 
-The public API re-exports the main entry points of each subsystem:
+The public API names the main entry points of each subsystem:
 
 * Describe hardware with :class:`HardwareConfig` and workloads with
   :class:`ConvLayer` / :class:`GemmLayer` / :class:`Network` (or load
@@ -16,232 +16,106 @@ The public API re-exports the main entry points of each subsystem:
 * Estimate energy with :func:`energy_of_result`, validate cycle counts
   against the register-level :func:`golden_gemm`, and replay DRAM
   traces through :class:`DramSimulator`.
+
+``import repro`` loads this module only.  Each public name resolves on
+first use from the module that defines it (PEP 562), so a process pays
+for the subsystems it touches and nothing else.
 """
 
-from repro.config import (
-    Dataflow,
-    HardwareConfig,
-    load_config,
-    paper_scaling_config,
-    preset,
-)
-from repro.topology import (
-    ConvLayer,
-    GemmLayer,
-    Layer,
-    Network,
-    load_topology,
-)
-from repro.topology.lowering import TensorAddressLayout
-from repro.mapping import OperandMapping, map_layer, map_gemm, plan_folds
-from repro.engine import (
-    LayerResult,
-    RunResult,
-    ScaleOutSimulator,
-    Simulator,
-    StalledRuntime,
-    bandwidth_limited_runtime,
-    render_report,
-    sweet_spot_bandwidth,
-    write_report_csv,
-)
-from repro.engine.scaleout import simulate
-from repro.analytical import (
-    CandidateConfig,
-    Recommendation,
-    TrafficEstimate,
-    WorkloadSet,
-    best_scaleout,
-    best_scaleup,
-    candidate_costs,
-    estimate_traffic,
-    fold_runtime,
-    pareto_search,
-    recommend_configuration,
-    scaleout_runtime,
-    scaleup_runtime,
-    search_space,
-    unlimited_runtime,
-)
-from repro.noc import DegradedMeshNoc, MeshNoc, NocConfig, NocCost, layer_noc_cost
-from repro.resilience import (
-    FaultMap,
-    RemapPlan,
-    load_fault_map,
-    predict_layer_cycles,
-    random_fault_map,
-    remap_layer,
-)
-from repro.analytical.runtime import degraded_scaleout_runtime, degraded_scaleup_runtime
-from repro.energy import DEFAULT_ENERGY, EnergyParams, energy_of_result, energy_of_run
-from repro.golden import golden_gemm
-from repro.dram import DDR4_2400_LIKE, DramAccess, DramSimulator, DramTiming
-from repro.workloads import (
-    language_layer,
-    language_models,
-    resnet50,
-)
-from repro.sweep import pivot_to_csv, run_sweep, run_sweep_report, sweep_to_csv
-from repro.robust import (
-    CheckpointStore,
-    ExecutionPolicy,
-    Fault,
-    PointRecord,
-    RunReport,
-    check_layer_result,
-    check_trace_conservation,
-    execute_grid,
-    execute_point,
-    inject_faults,
-)
-from repro.traceanalysis import reuse_profile, stream_stats
-from repro.obs import (
-    MetricsRegistry,
-    ProgressTracker,
-    Tracer,
-    metrics,
-    trace,
-)
-from repro.errors import (
-    CheckpointError,
-    CircuitOpenError,
-    ConfigError,
-    DramError,
-    ExecutionError,
-    InvariantError,
-    LedgerCorruptionError,
-    MappingError,
-    PointTimeoutError,
-    ReproError,
-    ResilienceError,
-    SearchError,
-    SimulationError,
-    StorageError,
-    SweepError,
-    TopologyError,
-)
-from repro.store.ledger import LedgerDiff, SweepLedger
-
-from repro._version import __version__
-
-__all__ = [
+#: Defining module -> the public names it contributes.
+_API = {
     # configuration
-    "Dataflow",
-    "HardwareConfig",
-    "load_config",
-    "paper_scaling_config",
-    "preset",
+    "repro.config.hardware": ("Dataflow", "HardwareConfig"),
+    "repro.config.parser": ("load_config",),
+    "repro.config.presets": ("paper_scaling_config", "preset"),
     # topology
-    "ConvLayer",
-    "GemmLayer",
-    "Layer",
-    "Network",
-    "load_topology",
+    "repro.topology.layer": ("ConvLayer", "GemmLayer", "Layer"),
+    "repro.topology.network": ("Network",),
+    "repro.topology.parser": ("load_topology",),
+    "repro.topology.lowering": ("TensorAddressLayout",),
     # mapping
-    "OperandMapping",
-    "map_layer",
-    "map_gemm",
-    "plan_folds",
-    "TensorAddressLayout",
+    "repro.mapping.dims": ("OperandMapping", "map_layer", "map_gemm"),
+    "repro.mapping.folds": ("plan_folds",),
     # engines
-    "LayerResult",
-    "RunResult",
-    "Simulator",
-    "ScaleOutSimulator",
-    "simulate",
-    "render_report",
-    "write_report_csv",
+    "repro.engine.results": ("LayerResult", "RunResult"),
+    "repro.engine.simulator": ("Simulator",),
+    "repro.engine.scaleout": ("ScaleOutSimulator", "simulate"),
+    "repro.engine.reports": ("render_report", "write_report_csv"),
+    "repro.engine.stalls": (
+        "StalledRuntime", "bandwidth_limited_runtime", "sweet_spot_bandwidth",
+    ),
     # analytical
-    "CandidateConfig",
-    "WorkloadSet",
-    "best_scaleout",
-    "best_scaleup",
-    "candidate_costs",
-    "fold_runtime",
-    "pareto_search",
-    "scaleout_runtime",
-    "scaleup_runtime",
-    "search_space",
-    "unlimited_runtime",
-    "TrafficEstimate",
-    "estimate_traffic",
-    "Recommendation",
-    "recommend_configuration",
-    # stalls + noc
-    "StalledRuntime",
-    "bandwidth_limited_runtime",
-    "sweet_spot_bandwidth",
-    "DegradedMeshNoc",
-    "MeshNoc",
-    "NocConfig",
-    "NocCost",
-    "layer_noc_cost",
+    "repro.analytical.search": (
+        "CandidateConfig", "best_scaleout", "best_scaleup", "search_space",
+    ),
+    "repro.analytical.multiworkload": ("WorkloadSet", "candidate_costs", "pareto_search"),
+    "repro.analytical.runtime": (
+        "fold_runtime", "scaleout_runtime", "scaleup_runtime", "unlimited_runtime",
+        "degraded_scaleout_runtime", "degraded_scaleup_runtime",
+    ),
+    "repro.analytical.traffic": ("TrafficEstimate", "estimate_traffic"),
+    "repro.analytical.recommend": ("Recommendation", "recommend_configuration"),
+    # noc
+    "repro.noc.mesh": ("DegradedMeshNoc", "MeshNoc", "NocConfig"),
+    "repro.noc.cost": ("NocCost", "layer_noc_cost"),
     # resilience (degraded-mode simulation)
-    "FaultMap",
-    "RemapPlan",
-    "load_fault_map",
-    "predict_layer_cycles",
-    "random_fault_map",
-    "remap_layer",
-    "degraded_scaleout_runtime",
-    "degraded_scaleup_runtime",
+    "repro.resilience.faultmap": ("FaultMap", "load_fault_map", "random_fault_map"),
+    "repro.resilience.remap": ("RemapPlan", "predict_layer_cycles", "remap_layer"),
     # energy
-    "DEFAULT_ENERGY",
-    "EnergyParams",
-    "energy_of_result",
-    "energy_of_run",
+    "repro.energy.params": ("DEFAULT_ENERGY", "EnergyParams"),
+    "repro.energy.model": ("energy_of_result", "energy_of_run"),
     # golden + dram
-    "golden_gemm",
-    "DDR4_2400_LIKE",
-    "DramAccess",
-    "DramSimulator",
-    "DramTiming",
+    "repro.golden.gemm": ("golden_gemm",),
+    "repro.dram.timing": ("DDR4_2400_LIKE", "DramTiming"),
+    "repro.dram.request": ("DramAccess",),
+    "repro.dram.simulator": ("DramSimulator",),
     # workloads
-    "language_layer",
-    "language_models",
-    "resnet50",
+    "repro.workloads.language": ("language_layer", "language_models"),
+    "repro.workloads.resnet50": ("resnet50",),
     # tooling
-    "run_sweep",
-    "run_sweep_report",
-    "sweep_to_csv",
-    "pivot_to_csv",
-    "SweepLedger",
-    "LedgerDiff",
-    "reuse_profile",
-    "stream_stats",
+    "repro.sweep": ("run_sweep", "run_sweep_report", "sweep_to_csv", "pivot_to_csv"),
+    "repro.store.ledger": ("SweepLedger", "LedgerDiff"),
+    "repro.traceanalysis.reuse": ("reuse_profile",),
+    "repro.traceanalysis.streams": ("stream_stats",),
     # observability
-    "trace",
-    "metrics",
-    "Tracer",
-    "MetricsRegistry",
-    "ProgressTracker",
+    "repro.obs": ("trace", "metrics"),
+    "repro.obs.tracer": ("Tracer",),
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.progress": ("ProgressTracker",),
     # robust execution
-    "CheckpointStore",
-    "ExecutionPolicy",
-    "Fault",
-    "PointRecord",
-    "RunReport",
-    "check_layer_result",
-    "check_trace_conservation",
-    "execute_grid",
-    "execute_point",
-    "inject_faults",
+    "repro.robust.checkpoint": ("CheckpointStore",),
+    "repro.robust.policy": ("ExecutionPolicy",),
+    "repro.robust.faults": ("Fault", "inject_faults"),
+    "repro.robust.report": ("PointRecord", "RunReport"),
+    "repro.robust.invariants": ("check_layer_result", "check_trace_conservation"),
+    "repro.robust.executor": ("execute_grid", "execute_point"),
     # errors
-    "ReproError",
-    "ConfigError",
-    "TopologyError",
-    "MappingError",
-    "SimulationError",
-    "SearchError",
-    "DramError",
-    "ExecutionError",
-    "PointTimeoutError",
-    "CircuitOpenError",
-    "SweepError",
-    "CheckpointError",
-    "StorageError",
-    "LedgerCorruptionError",
-    "InvariantError",
-    "ResilienceError",
-    "__version__",
-]
+    "repro.errors": (
+        "ReproError", "ConfigError", "TopologyError", "MappingError",
+        "SimulationError", "SearchError", "DramError", "ExecutionError",
+        "PointTimeoutError", "CircuitOpenError", "SweepError", "CheckpointError",
+        "StorageError", "LedgerCorruptionError", "InvariantError", "ResilienceError",
+    ),
+    "repro._version": ("__version__",),
+}
+
+#: Public name -> defining module.
+_EXPORTS = {name: module for module, names in _API.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    # __import__, unlike importlib.import_module, is what -X importtime
+    # reports, so profiles keep showing these imports.
+    value = getattr(__import__(module, fromlist=(name,)), name)
+    globals()[name] = value  # resolve once; later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

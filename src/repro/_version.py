@@ -1,19 +1,10 @@
 """Single source of the package version.
 
-The version is read from installed package metadata so ``pip install``
-and ``pyproject.toml`` stay authoritative; running straight from a
-source checkout (``PYTHONPATH=src``) falls back to the pinned string,
-which mirrors ``pyproject.toml``.
+``pyproject.toml`` reads this constant when the package is built, so
+the version that stamps result-store keys, ledger and checkpoint
+versions and the bench history is always that of the code being run,
+never that of whatever ``repro`` distribution metadata (a stale
+``*.egg-info``, an older wheel) is first on ``sys.path``.
 """
 
-from __future__ import annotations
-
-from importlib import metadata
-
-#: Fallback for source checkouts that were never pip-installed.
-_SOURCE_VERSION = "1.0.0"
-
-try:
-    __version__ = metadata.version("repro")
-except metadata.PackageNotFoundError:  # pragma: no cover - depends on install
-    __version__ = _SOURCE_VERSION
+__version__ = "1.0.0"

@@ -1,94 +1,1 @@
 """Analytical runtime model and design-space search (paper Sec. III)."""
-
-from repro.analytical.runtime import (
-    fold_runtime,
-    unlimited_runtime,
-    scaleup_runtime,
-    scaleout_runtime,
-    degraded_scaleup_runtime,
-    degraded_scaleout_runtime,
-    mapping_utilization,
-)
-from repro.analytical.search import (
-    CandidateConfig,
-    array_shapes,
-    best_scaleup,
-    best_scaleout,
-    partition_grids,
-    search_space,
-)
-from repro.analytical.traffic import TrafficEstimate, estimate_traffic
-from repro.analytical.recommend import (
-    AggregateScore,
-    Recommendation,
-    recommend_configuration,
-)
-from repro.analytical.objectives import (
-    ConfigScore,
-    estimate_sram_counts,
-    pareto_front,
-    score_candidate,
-    score_candidates,
-)
-from repro.analytical.dataflow_choice import (
-    DataflowChoice,
-    best_dataflow,
-    plan_network_dataflows,
-    plan_savings,
-)
-from repro.analytical.multiworkload import (
-    WorkloadSet,
-    pareto_search,
-    candidate_costs,
-    per_workload_losses,
-)
-from repro.analytical.vectorized import (
-    ceil_div_v,
-    exact_cycles_v,
-    estimate_traffic_v,
-    fold_runtime_v,
-    mapping_utilization_v,
-    scaleout_runtime_v,
-    scaleup_runtime_v,
-)
-
-__all__ = [
-    "fold_runtime",
-    "unlimited_runtime",
-    "scaleup_runtime",
-    "scaleout_runtime",
-    "degraded_scaleup_runtime",
-    "degraded_scaleout_runtime",
-    "mapping_utilization",
-    "CandidateConfig",
-    "array_shapes",
-    "best_scaleup",
-    "best_scaleout",
-    "partition_grids",
-    "search_space",
-    "WorkloadSet",
-    "pareto_search",
-    "candidate_costs",
-    "per_workload_losses",
-    "TrafficEstimate",
-    "estimate_traffic",
-    "ConfigScore",
-    "estimate_sram_counts",
-    "pareto_front",
-    "score_candidate",
-    "score_candidates",
-    "AggregateScore",
-    "Recommendation",
-    "recommend_configuration",
-    "DataflowChoice",
-    "best_dataflow",
-    "plan_network_dataflows",
-    "plan_savings",
-    "ceil_div_v",
-    "exact_cycles_v",
-    "estimate_traffic_v",
-    "fold_runtime_v",
-    "mapping_utilization_v",
-    "scaleout_runtime_v",
-    "scaleup_runtime_v",
-]

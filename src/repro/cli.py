@@ -42,7 +42,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro._version import __version__
@@ -53,14 +53,7 @@ from repro.obs.bench import (
     DEFAULT_WINDOW,
     NOISE_FLOOR_S,
 )
-
-from repro.analytical.multiworkload import WorkloadSet, pareto_search
-from repro.config.hardware import Dataflow, HardwareConfig
-from repro.config.parser import load_config
-from repro.config.presets import paper_scaling_config
-from repro.engine.reports import render_report, write_report_csv
-from repro.engine.scaleout import ScaleOutSimulator
-from repro.engine.simulator import Simulator
+from repro.obs.logconf import configure_logging
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -78,16 +71,15 @@ from repro.errors import (
     TopologyError,
     VerificationError,
 )
-from repro.robust.checkpoint import CheckpointStore
-from repro.robust.policy import ExecutionPolicy
-from repro.serve.jobs import sweep_estimate, sweep_measure
-from repro.sweep import run_sweep_report
-from repro.topology.network import Network
-from repro.topology.parser import load_topology
-from repro.utils.mathutils import is_power_of_two
-from repro.workloads.language import language_layer, TABLE_IV_DIMS
-from repro.workloads.registry import available_workloads, get_workload
 
+if TYPE_CHECKING:  # pragma: no cover - hint-only imports
+    from repro.config.hardware import HardwareConfig
+    from repro.robust.checkpoint import CheckpointStore
+    from repro.robust.policy import ExecutionPolicy
+    from repro.topology.network import Network
+
+# Each command imports what it runs inside its handler, so a process
+# loads only the subsystems its command executes.
 
 #: A batch run ended without executing every point (failures tripped the
 #: circuit breaker, points were skipped, or Ctrl-C stopped the sweep
@@ -227,6 +219,8 @@ def _warn_ignored_workers(args: argparse.Namespace) -> None:
 
 
 def _robust_policy(args: argparse.Namespace) -> ExecutionPolicy:
+    from repro.robust.policy import ExecutionPolicy
+
     try:
         return ExecutionPolicy(
             max_retries=args.retries,
@@ -239,6 +233,8 @@ def _robust_policy(args: argparse.Namespace) -> ExecutionPolicy:
 
 
 def _robust_checkpoint(args: argparse.Namespace) -> Optional[CheckpointStore]:
+    from repro.robust.checkpoint import CheckpointStore
+
     if args.resume and not args.checkpoint:
         raise CheckpointError("--resume requires --checkpoint FILE")
     if not args.checkpoint:
@@ -259,8 +255,8 @@ def _sweep_ledger(args: argparse.Namespace):
         )
     if not ledger_dir:
         return None
-    from repro.serve.jobs import sweep_ledger_version
     from repro.store.ledger import SweepLedger
+    from repro.sweep import sweep_ledger_version
 
     # Scope the keys to the full simulation identity, not just the
     # partition counts, so unrelated sweeps can share one ledger.
@@ -279,6 +275,11 @@ def _parse_shape(text: str, what: str) -> Tuple[int, int]:
 
 
 def _load_network(args: argparse.Namespace) -> Network:
+    from repro.topology.network import Network
+    from repro.topology.parser import load_topology
+    from repro.workloads.language import TABLE_IV_DIMS, language_layer
+    from repro.workloads.registry import get_workload
+
     if args.topology:
         return load_topology(args.topology)
     if args.workload:
@@ -308,6 +309,10 @@ def _fault_map_from_args(args: argparse.Namespace):
 
 
 def _build_config(args: argparse.Namespace) -> HardwareConfig:
+    from repro.config.hardware import Dataflow
+    from repro.config.parser import load_config
+    from repro.config.presets import paper_scaling_config
+
     if args.config:
         config = load_config(args.config)
     else:
@@ -327,6 +332,10 @@ def _build_config(args: argparse.Namespace) -> HardwareConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.engine.reports import render_report, write_report_csv
+    from repro.engine.scaleout import ScaleOutSimulator
+    from repro.engine.simulator import Simulator
+
     network = _load_network(args)
     if args.batch and args.batch > 1:
         network = network.with_batch(args.batch)
@@ -379,6 +388,7 @@ def _cmd_dram(args: argparse.Namespace) -> int:
     """Replay one layer's DRAM schedule through the device back-end."""
     from repro.dram.simulator import DramSimulator
     from repro.dram.timing import DramTiming
+    from repro.engine.simulator import Simulator
     from repro.engine.tracefiles import dram_request_stream
     from repro.memory.bandwidth import compute_dram_traffic
     from repro.memory.buffers import BufferSet
@@ -411,6 +421,9 @@ def _cmd_dram(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.analytical.multiworkload import WorkloadSet, pareto_search
+    from repro.config.hardware import Dataflow
+
     network = _load_network(args)
     workloads = WorkloadSet(
         name=network.name,
@@ -428,6 +441,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _resolve_layer(args: argparse.Namespace):
     """The layer named by --layer, from Table IV or --workload."""
+    from repro.workloads.language import TABLE_IV_DIMS, language_layer
+    from repro.workloads.registry import get_workload
+
     if args.layer in TABLE_IV_DIMS:
         return language_layer(args.layer)
     network = get_workload(args.workload or "resnet50")
@@ -436,7 +452,18 @@ def _resolve_layer(args: argparse.Namespace):
     return network[args.layer]
 
 
+def sweep_measure(partitions: int, layer=None, macs: int = 0) -> dict:
+    """One ``sweep`` point: :func:`repro.sweep.sweep_measure`, looked up
+    here so a caller can intercept the points the command runs."""
+    from repro.sweep import sweep_measure as measure
+
+    return measure(partitions, layer=layer, macs=macs)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.sweep import run_sweep_report, sweep_estimate
+    from repro.utils.mathutils import is_power_of_two
+
     if not is_power_of_two(args.macs):
         raise SystemExit("--macs must be a power of two for the sweep")
     layer = _resolve_layer(args)
@@ -543,6 +570,9 @@ def _resilience_measure(
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
     """Degraded-mode sweep: runtime/traffic as partitions fail."""
+    from repro.sweep import run_sweep_report
+    from repro.utils.mathutils import is_power_of_two
+
     if not is_power_of_two(args.macs):
         raise SystemExit("--macs must be a power of two for the sweep")
     layer = _resolve_layer(args)
@@ -590,6 +620,9 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(_: argparse.Namespace) -> int:
+    from repro.workloads.language import TABLE_IV_DIMS
+    from repro.workloads.registry import available_workloads
+
     print("built-in networks: " + ", ".join(available_workloads()))
     print("Table IV layers:   " + ", ".join(sorted(TABLE_IV_DIMS)))
     return 0
@@ -762,21 +795,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Differential verification: fuzz, replay, mutation smoke, baselines."""
-    from repro.verify import (
-        PROPERTIES,
-        assert_baselines,
-        bless,
-        replay_corpus,
-        run_mutation_smoke,
-        run_verify,
-    )
-
     if args.list_props:
+        from repro.verify.properties import PROPERTIES
+
         for name, prop in sorted(PROPERTIES.items()):
             print(f"{name:16} [{prop.kind}] {prop.doc}")
         return 0
 
     if args.bless:
+        from repro.verify.baseline import bless
+
         paths = bless(
             args.experiments or None,
             reason=args.reason or "",
@@ -787,6 +815,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     if args.check_golden:
+        from repro.verify.baseline import assert_baselines
+
         report = assert_baselines(
             args.experiments or None,
             baseline_dir=args.baselines,
@@ -796,6 +826,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     if args.replay:
+        from repro.verify.corpus import replay_corpus
+
         outcomes = replay_corpus(args.corpus)
         live = {name: violations for name, violations in outcomes.items() if violations}
         print(f"replayed {len(outcomes)} regression bundle(s) from {args.corpus}")
@@ -809,12 +841,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     if args.mutation_smoke:
+        from repro.verify.mutation import run_mutation_smoke
+
         report = run_mutation_smoke(seed=args.seed)
         print(report.summary())
         for name, paths in report.bundles.items():
             for path in paths[:1]:
                 print(f"  {name}: shrunk repro at {path}")
         return 0
+
+    from repro.verify.harness import run_verify
 
     props = [name.strip() for name in (args.props or "").split(",") if name.strip()]
     report = run_verify(
@@ -839,7 +875,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
     """Run the scaling-recommendation heuristic on a workload set."""
+    from repro.analytical.multiworkload import WorkloadSet
     from repro.analytical.recommend import recommend_configuration
+    from repro.config.hardware import Dataflow
 
     network = _load_network(args)
     workloads = WorkloadSet(
@@ -868,14 +906,15 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _reproduce_measure(experiment: str):
     """One experiment evaluation."""
-    from repro.experiments import run_experiment
+    from repro.experiments.registry import run_experiment
 
     return run_experiment(experiment)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Regenerate one of the paper's tables/figures and print its rows."""
-    from repro.experiments import available_experiments
+    from repro.experiments.registry import available_experiments
+    from repro.sweep import run_sweep_report
 
     if args.list or not args.experiment:
         print("experiments: " + ", ".join(available_experiments()))
@@ -1383,18 +1422,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    obs.configure_logging(level=args.log_level, verbosity=args.verbosity)
+    configure_logging(level=args.log_level, verbosity=args.verbosity)
     if args.no_cache:
-        from repro.perf import cache
+        from repro.perf.cache import cache
 
         cache.disable()
-    from repro import store as result_store
-
     try:
-        if args.no_store:
-            result_store.disable()
-        elif args.store:
-            result_store.configure(args.store)
+        if args.no_store or args.store:
+            from repro.store import runtime as store_runtime
+
+            if args.no_store:
+                store_runtime.disable()
+            else:
+                store_runtime.configure(args.store)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -1,28 +1,1 @@
 """Hardware configuration (paper Table I): array shape, SRAM sizes, dataflow."""
-
-from repro.config.hardware import Dataflow, HardwareConfig
-from repro.config.parser import load_config, dump_config, parse_config_text
-from repro.config.presets import (
-    EYERISS_LIKE,
-    GOOGLE_TPU_LIKE,
-    PAPER_SCALING_SRAM_KB,
-    SMALL_TEST,
-    paper_scaling_config,
-    preset,
-    preset_names,
-)
-
-__all__ = [
-    "Dataflow",
-    "HardwareConfig",
-    "load_config",
-    "dump_config",
-    "parse_config_text",
-    "EYERISS_LIKE",
-    "GOOGLE_TPU_LIKE",
-    "PAPER_SCALING_SRAM_KB",
-    "SMALL_TEST",
-    "paper_scaling_config",
-    "preset",
-    "preset_names",
-]

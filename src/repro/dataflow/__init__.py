@@ -1,32 +1,1 @@
 """Cycle-accurate dataflow engines for OS / WS / IS systolic execution."""
-
-from repro.dataflow.base import (
-    AddressLayout,
-    CycleTrace,
-    DataflowEngine,
-    FoldDemand,
-    OperandSlice,
-    SramCounts,
-    fold_cycles,
-)
-from repro.dataflow.output_stationary import OutputStationaryEngine
-from repro.dataflow.output_stationary_dataplane import OutputStationaryDataPlaneEngine
-from repro.dataflow.weight_stationary import WeightStationaryEngine
-from repro.dataflow.input_stationary import InputStationaryEngine
-from repro.dataflow.factory import engine_for, engine_for_gemm
-
-__all__ = [
-    "AddressLayout",
-    "CycleTrace",
-    "DataflowEngine",
-    "FoldDemand",
-    "OperandSlice",
-    "SramCounts",
-    "fold_cycles",
-    "OutputStationaryEngine",
-    "OutputStationaryDataPlaneEngine",
-    "WeightStationaryEngine",
-    "InputStationaryEngine",
-    "engine_for",
-    "engine_for_gemm",
-]

@@ -7,15 +7,3 @@ tRCD/tCL/tRP/tRAS timing.  It answers the question the paper poses in
 Fig. 11 — whether a real DRAM device can sustain the stall-free
 bandwidth the accelerator demands.
 """
-
-from repro.dram.timing import DramTiming, DDR4_2400_LIKE
-from repro.dram.request import DramAccess
-from repro.dram.simulator import DramSimulator, DramStats
-
-__all__ = [
-    "DramTiming",
-    "DDR4_2400_LIKE",
-    "DramAccess",
-    "DramSimulator",
-    "DramStats",
-]

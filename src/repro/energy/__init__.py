@@ -1,12 +1,1 @@
 """Event-count energy model (paper Sec. IV-A, Fig. 12)."""
-
-from repro.energy.params import EnergyParams, DEFAULT_ENERGY
-from repro.energy.model import EnergyBreakdown, energy_of_result, energy_of_run
-
-__all__ = [
-    "EnergyParams",
-    "DEFAULT_ENERGY",
-    "EnergyBreakdown",
-    "energy_of_result",
-    "energy_of_run",
-]

@@ -1,68 +1,1 @@
 """Simulation engines: single-array (scale-up) and partitioned (scale-out)."""
-
-from repro.engine.results import LayerResult, RunResult
-from repro.engine.simulator import Simulator
-from repro.engine.scaleout import ScaleOutSimulator, PartitionShare
-from repro.engine.reports import (
-    layer_report_rows,
-    render_report,
-    write_report_csv,
-)
-from repro.engine.tracefiles import write_sram_trace_csv, dram_request_stream
-from repro.engine.stalls import (
-    StalledRuntime,
-    bandwidth_limited_runtime,
-    sweet_spot_bandwidth,
-)
-from repro.engine.sram_bandwidth import (
-    SramBandwidthReport,
-    demand_histogram,
-    sram_bandwidth_report,
-)
-from repro.engine.interlayer import (
-    chainable,
-    interlayer_savings,
-    run_network_with_interlayer_reuse,
-)
-from repro.engine.pipeline import (
-    PipelineResult,
-    StageResult,
-    balance_stages,
-    run_pipelined,
-)
-from repro.engine.roofline import RooflinePoint, roofline_point
-from repro.engine.summary import RunSummary, amdahl_speedup_limit, summarize_run
-from repro.engine.persistence import load_run_result, save_run_result
-
-__all__ = [
-    "LayerResult",
-    "RunResult",
-    "Simulator",
-    "ScaleOutSimulator",
-    "PartitionShare",
-    "layer_report_rows",
-    "render_report",
-    "write_report_csv",
-    "write_sram_trace_csv",
-    "dram_request_stream",
-    "StalledRuntime",
-    "bandwidth_limited_runtime",
-    "sweet_spot_bandwidth",
-    "SramBandwidthReport",
-    "demand_histogram",
-    "sram_bandwidth_report",
-    "chainable",
-    "interlayer_savings",
-    "run_network_with_interlayer_reuse",
-    "PipelineResult",
-    "StageResult",
-    "balance_stages",
-    "run_pipelined",
-    "RooflinePoint",
-    "roofline_point",
-    "RunSummary",
-    "amdahl_speedup_limit",
-    "summarize_run",
-    "load_run_result",
-    "save_run_result",
-]

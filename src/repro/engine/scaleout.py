@@ -13,7 +13,7 @@ traffic: each partition fetches its own operand slices, so data shared
 across a grid row/column is fetched multiple times (the loss-of-reuse
 cost of Sec. IV-A), and each partition owns only ``1/P`` of the SRAM.
 
-Degraded grids (a :class:`~repro.resilience.FaultMap` with dead
+Degraded grids (a :class:`~repro.resilience.faultmap.FaultMap` with dead
 partitions on the config) route through :func:`repro.resilience.remap
 .remap_layer`: orphaned tiles are adopted by surviving partitions,
 which run their assigned tiles serially, so the layer latency becomes

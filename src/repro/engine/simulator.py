@@ -20,8 +20,7 @@ from repro.errors import SimulationError
 from repro.memory.bandwidth import compute_dram_traffic
 from repro.memory.buffers import BufferSet
 from repro.obs import metrics, trace
-from repro.perf.cache import cache, simulation_key
-from repro.store import runtime as store_runtime
+from repro.perf.cache import memoize, simulation_key
 from repro.topology.layer import Layer
 from repro.topology.network import Network
 
@@ -113,17 +112,14 @@ class Simulator:
             engine.n,
             self.loop_order,
         )
-        hit = cache.get(key)
-        if hit is not None:
-            result, _traffic = hit
-            self._record_metrics(result)
-            return replace(result, layer_name=layer_name)
-        stored = store_runtime.probe(key)
-        if stored is not None:
-            result, _traffic = stored
-            cache.put(key, stored)
-            self._record_metrics(result)
-            return replace(result, layer_name=layer_name)
+        (result, _traffic), hit = memoize(
+            key, lambda: self._simulate(engine, layer_name)
+        )
+        self._record_metrics(result)
+        return replace(result, layer_name=layer_name) if hit else result
+
+    def _simulate(self, engine: DataflowEngine, layer_name: str):
+        """Run ``engine`` through the memory model: the uncached pair."""
         traffic = compute_dram_traffic(
             engine, self.buffers, self.config.word_bytes, loop_order=self.loop_order
         )
@@ -152,10 +148,7 @@ class Simulator:
             row_folds=engine.plan.row_folds,
             col_folds=engine.plan.col_folds,
         )
-        self._record_metrics(result)
-        cache.put(key, (result, traffic))
-        store_runtime.record(key, (replace(result, layer_name=""), traffic))
-        return result
+        return result, traffic
 
     @staticmethod
     def _record_metrics(result: LayerResult) -> None:

@@ -69,7 +69,7 @@ def dram_request_stream(
     bulk, linear transfers in SCALE-Sim's model); request timestamps
     spread each fold's transfer uniformly over the fold it overlaps
     with.  The stream is ordered by (cycle, is_write, address) and is
-    suitable for :class:`repro.dram.DramSimulator`.
+    suitable for :class:`repro.dram.simulator.DramSimulator`.
     """
     if line_bytes <= 0:
         raise ValueError(f"line_bytes must be positive, got {line_bytes}")

@@ -5,9 +5,6 @@ its data as a list of row dicts — the benchmarks assert on these, the
 CLI ``reproduce`` subcommand prints them, and downstream users can call
 them directly (e.g. to re-plot with different budgets).
 
-``run_experiment(name)`` dispatches by the paper's figure/table id.
+:func:`~repro.experiments.registry.run_experiment` dispatches by the
+paper's figure/table id and imports only that experiment's module.
 """
-
-from repro.experiments.registry import available_experiments, run_experiment
-
-__all__ = ["available_experiments", "run_experiment"]

@@ -7,26 +7,3 @@ arithmetic, and reports when the last result leaves the array — a
 microarchitecturally explicit model that is independent of both the
 trace-based engine and the closed-form Eq. 3/4.
 """
-
-from repro.golden.array import (
-    GoldenFoldResult,
-    run_output_stationary_fold,
-    run_weight_stationary_fold,
-)
-from repro.golden.gemm import GoldenGemmResult, golden_gemm
-from repro.golden.validate import (
-    ValidationReport,
-    validate_configuration,
-    validation_sweep,
-)
-
-__all__ = [
-    "GoldenFoldResult",
-    "run_output_stationary_fold",
-    "run_weight_stationary_fold",
-    "GoldenGemmResult",
-    "golden_gemm",
-    "ValidationReport",
-    "validate_configuration",
-    "validation_sweep",
-]

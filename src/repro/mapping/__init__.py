@@ -1,14 +1,1 @@
 """Spatio-temporal mapping of layers onto systolic arrays (Table III)."""
-
-from repro.mapping.dims import OperandMapping, gemm_from_mapping, map_layer, map_gemm
-from repro.mapping.folds import Fold, FoldPlan, plan_folds
-
-__all__ = [
-    "OperandMapping",
-    "gemm_from_mapping",
-    "map_layer",
-    "map_gemm",
-    "Fold",
-    "FoldPlan",
-    "plan_folds",
-]

@@ -1,15 +1,1 @@
 """Accelerator memory system: double-buffered SRAMs and DRAM demand."""
-
-from repro.memory.buffers import BufferSet, DoubleBuffer
-from repro.memory.reuse import OperandTraffic, operand_dram_traffic
-from repro.memory.bandwidth import BandwidthProfile, DramTraffic, compute_dram_traffic
-
-__all__ = [
-    "BufferSet",
-    "DoubleBuffer",
-    "OperandTraffic",
-    "operand_dram_traffic",
-    "BandwidthProfile",
-    "DramTraffic",
-    "compute_dram_traffic",
-]

@@ -9,8 +9,3 @@ overall energy."  This package quantifies that cost with a first-order
 collection, a port-bandwidth feasibility check, and an energy term that
 composes with :mod:`repro.energy`.
 """
-
-from repro.noc.mesh import DegradedMeshNoc, MeshNoc, NocConfig
-from repro.noc.cost import NocCost, layer_noc_cost
-
-__all__ = ["DegradedMeshNoc", "MeshNoc", "NocConfig", "NocCost", "layer_noc_cost"]

@@ -28,7 +28,7 @@ class NocConfig:
     ``link_bytes_per_cycle`` is the capacity of one mesh link (and of
     the memory port); ``energy_per_byte_hop`` is the transport energy
     for moving one byte across one link, in the same arbitrary units as
-    :class:`repro.energy.EnergyParams` (default: 1/20 of a MAC, a
+    :class:`repro.energy.params.EnergyParams` (default: 1/20 of a MAC, a
     common first-order figure for short on-chip hops).
     """
 

@@ -27,6 +27,10 @@ flags do)::
 Files are Chrome trace-event JSON (open in https://ui.perfetto.dev) and
 a metrics snapshot; ``repro stats FILE`` summarizes either.  See
 ``docs/observability.md``.
+
+This package holds the singletons and their sink plumbing only;
+everything else is imported from its submodule (``repro.obs.export``,
+``.stats``, ``.logconf``, ``.progress``, ``.flight``, ...).
 """
 
 from __future__ import annotations
@@ -35,31 +39,21 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.export import (
-    chrome_trace_events,
     config_hash,
-    load_metrics,
-    load_trace,
     run_metadata,
     write_chrome_trace,
     write_event_jsonl,
     write_metrics_json,
 )
-from repro.obs.logconf import configure_logging, get_logger, resolve_level
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.progress import ProgressSnapshot, ProgressTracker
-from repro.obs.stats import (
-    SpanStat,
-    render_metrics_summary,
-    render_trace_summary,
-    summarize_file,
-    trace_span_stats,
-)
-from repro.obs.tracer import NULL_SPAN, SpanRecord, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 #: Process-wide tracer every instrumented module shares.
 trace = Tracer()
 
-#: Process-wide metrics registry every instrumented module shares.
+#: Process-wide metrics registry every instrumented module shares.  This
+#: rebinds the name the ``repro.obs.metrics`` submodule import bound, so
+#: ``from repro.obs import metrics`` is always the registry.
 metrics = MetricsRegistry()
 
 #: Export destinations registered by :func:`configure`.
@@ -120,35 +114,4 @@ def reset() -> None:
         _sinks[key] = None
 
 
-__all__ = [
-    "trace",
-    "metrics",
-    "Tracer",
-    "SpanRecord",
-    "NULL_SPAN",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "ProgressTracker",
-    "ProgressSnapshot",
-    "configure",
-    "flush",
-    "reset",
-    "config_hash",
-    "run_metadata",
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "write_metrics_json",
-    "write_event_jsonl",
-    "load_trace",
-    "load_metrics",
-    "SpanStat",
-    "trace_span_stats",
-    "render_trace_summary",
-    "render_metrics_summary",
-    "summarize_file",
-    "configure_logging",
-    "resolve_level",
-    "get_logger",
-]
+__all__ = ["trace", "metrics", "configure", "config_hash", "flush", "reset"]

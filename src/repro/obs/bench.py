@@ -75,7 +75,7 @@ def _bench_gemm() -> None:
 def _bench_scaleup_conv() -> None:
     from repro.config.presets import paper_scaling_config
     from repro.engine.simulator import Simulator
-    from repro.workloads import get_workload
+    from repro.workloads.registry import get_workload
 
     layer = get_workload("resnet50")[9]
     config = paper_scaling_config(32, 32)
@@ -83,7 +83,7 @@ def _bench_scaleup_conv() -> None:
 
 
 def _bench_sweep_slice() -> None:
-    from repro.serve.jobs import sweep_measure
+    from repro.sweep import sweep_measure
     from repro.workloads.language import language_layer
 
     layer = language_layer("TF0")

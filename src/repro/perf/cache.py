@@ -20,13 +20,17 @@ Cached results are keyed on everything the simulator reads; the fault
 spec is part of the key so degraded configurations can never alias
 healthy ones.  Layer names are *not* part of the key — a hit is
 re-labelled for the requesting layer via ``dataclasses.replace``.
+
+:func:`memoize` is the engine's one memo seam: the LRU first, then the
+persistent result store (:mod:`repro.store.runtime`, imported on first
+use, so the engine itself knows nothing about disks).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
 
 from repro.obs import metrics
 
@@ -173,3 +177,25 @@ class SimulationCache:
 
 #: The process-wide cache instance the simulators consult.
 cache = SimulationCache()
+
+
+def memoize(key: Hashable, compute: Callable[[], CacheValue]) -> Tuple[CacheValue, bool]:
+    """The pair for ``key`` and whether it was memoized.
+
+    Probes the LRU, then the active result store (a store hit is
+    promoted into the LRU).  On a miss ``compute()`` runs and its pair
+    goes into the LRU and, best effort, into the store.
+    """
+    value = cache.get(key)
+    if value is not None:
+        return value, True
+    from repro.store import runtime as store_runtime
+
+    value = store_runtime.probe(key)
+    if value is not None:
+        cache.put(key, value)
+        return value, True
+    value = compute()
+    cache.put(key, value)
+    store_runtime.record(key, value)
+    return value, False

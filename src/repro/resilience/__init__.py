@@ -14,33 +14,3 @@ simulators, the NoC cost model, the energy model, reports — sees the
 same degradation.  See ``docs/robustness.md`` ("Degraded-mode
 simulation") for the full story.
 """
-
-from repro.resilience.faultmap import (
-    HEALTHY,
-    FaultMap,
-    fault_map_from_dict,
-    load_fault_map,
-    random_fault_map,
-)
-from repro.resilience.remap import (
-    RemapPlan,
-    TileAssignment,
-    check_remap_conservation,
-    predict_layer_cycles,
-    remap_layer,
-    tile_cycles,
-)
-
-__all__ = [
-    "FaultMap",
-    "HEALTHY",
-    "fault_map_from_dict",
-    "load_fault_map",
-    "random_fault_map",
-    "RemapPlan",
-    "TileAssignment",
-    "check_remap_conservation",
-    "predict_layer_cycles",
-    "remap_layer",
-    "tile_cycles",
-]

@@ -22,58 +22,3 @@ subsystem.  It provides:
 
 See ``docs/robustness.md`` for the full story.
 """
-
-from repro.robust.checkpoint import CheckpointStore, PointJournal, point_key
-from repro.robust.executor import execute_grid, execute_point
-from repro.robust.faults import (
-    Fault,
-    InjectedFault,
-    fault_scenario,
-    inject_faults,
-    scenario_seed,
-)
-from repro.robust.invariants import (
-    check_cycles,
-    check_layer_result,
-    check_macs,
-    check_trace_conservation,
-    expected_cycles,
-)
-from repro.robust.policy import COLLECT, FAIL_FAST, ExecutionPolicy
-from repro.robust.report import (
-    STATUS_CACHED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    PointRecord,
-    RunReport,
-    exception_chain,
-)
-
-__all__ = [
-    "CheckpointStore",
-    "PointJournal",
-    "point_key",
-    "execute_grid",
-    "execute_point",
-    "Fault",
-    "InjectedFault",
-    "fault_scenario",
-    "inject_faults",
-    "scenario_seed",
-    "check_cycles",
-    "check_layer_result",
-    "check_macs",
-    "check_trace_conservation",
-    "expected_cycles",
-    "COLLECT",
-    "FAIL_FAST",
-    "ExecutionPolicy",
-    "STATUS_CACHED",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_SKIPPED",
-    "PointRecord",
-    "RunReport",
-    "exception_chain",
-]

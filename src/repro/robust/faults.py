@@ -138,8 +138,8 @@ def fault_scenario(
 ):
     """Draw a deterministic degraded-hardware scenario for one sweep point.
 
-    Returns a :class:`~repro.resilience.FaultMap` sampled by
-    :func:`~repro.resilience.random_fault_map` under the per-point seed
+    Returns a :class:`~repro.resilience.faultmap.FaultMap` sampled by
+    :func:`~repro.resilience.faultmap.random_fault_map` under the per-point seed
     of :func:`scenario_seed`, so injecting hardware faults into a sweep
     is reproducible point by point.
     """

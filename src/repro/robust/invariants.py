@@ -57,7 +57,7 @@ def expected_cycles(layer: Layer, config: HardwareConfig) -> int:
     folds exactly, so it must *equal* the cycle-accurate engine — any
     divergence is a bug or a corrupted result, not model error.
 
-    Degraded configs (a :class:`~repro.resilience.FaultMap` on the
+    Degraded configs (a :class:`~repro.resilience.faultmap.FaultMap` on the
     config) are predicted through the same deterministic remap plan the
     scale-out engine executes, so exactness holds there too.  On a
     healthy grid the plan's slowest survivor is the ceil-sized tile of

@@ -8,29 +8,3 @@ graceful SIGTERM drain.  See
 :mod:`repro.serve.daemon` for the protocol and docs/service.md for the
 operator guide.
 """
-
-from repro.serve.client import DEFAULT_PORT, ServiceClient
-from repro.serve.daemon import (
-    ReproHTTPServer,
-    ServicePolicy,
-    SimulationService,
-    UnixHTTPServer,
-    make_server,
-    serve_until_signalled,
-)
-from repro.serve.jobs import JOB_KINDS, execute_job, job_key, normalize_request
-
-__all__ = [
-    "DEFAULT_PORT",
-    "JOB_KINDS",
-    "ReproHTTPServer",
-    "ServiceClient",
-    "ServicePolicy",
-    "SimulationService",
-    "UnixHTTPServer",
-    "execute_job",
-    "job_key",
-    "make_server",
-    "normalize_request",
-    "serve_until_signalled",
-]

@@ -515,13 +515,23 @@ class UnixHTTPServer(ReproHTTPServer):
                 pass
 
 
+#: Modules the job kinds execute (``repro.sweep`` comes with the jobs).
+_JOB_PATH = ("repro.engine.simulator", "repro.engine.scaleout", "repro.store.ledger")
+
+
 def make_server(
     service: SimulationService,
     host: str = "127.0.0.1",
     port: int = 8787,
     socket_path: Optional[str] = None,
 ) -> ReproHTTPServer:
-    """Bind the HTTP front door (TCP by default, unix socket if given)."""
+    """Bind the HTTP front door (TCP by default, unix socket if given).
+
+    The job path is imported before the socket binds, so a daemon that
+    answers ``/health`` is ready and no request pays an import.
+    """
+    for module in _JOB_PATH:
+        __import__(module)
     handler = type("BoundHandler", (_Handler,), {"service": service})
     try:
         if socket_path:

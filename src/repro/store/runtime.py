@@ -1,8 +1,9 @@
-"""Process-wide active store: configuration, key derivation, engine hooks.
+"""Process-wide active store: configuration, key derivation, memo hooks.
 
-The engine does not know where (or whether) results persist; it calls
-:func:`probe` and :func:`record` with the same memoization key the
-in-process LRU uses, and this module maps that onto whichever
+The engine does not know where (or whether) results persist: its memo
+seam, :func:`repro.perf.cache.memoize`, calls :func:`probe` and
+:func:`record` with the same memoization key the in-process LRU uses,
+and this module maps that onto whichever
 :class:`~repro.store.result_store.ResultStore` is active:
 
 * :func:`configure` opens (or creates) a store for this process (the

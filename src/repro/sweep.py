@@ -15,12 +15,18 @@ a list of dicts) of measurements; each result row carries the parameter
 values that produced it.
 
 Execution routes through the fault-tolerant layer (:mod:`repro.robust`):
-pass an :class:`~repro.robust.ExecutionPolicy` for retries, per-point
-timeouts and circuit breaking, and a checkpoint path (or
-:class:`~repro.robust.CheckpointStore`) to make the sweep resumable —
-an interrupted run replays completed points from its journal instead of
-re-executing them.  :func:`run_sweep_report` additionally returns the
-:class:`~repro.robust.RunReport` accounting for every grid point.
+pass an :class:`~repro.robust.policy.ExecutionPolicy` for retries,
+per-point timeouts and circuit breaking, and a checkpoint path (or
+:class:`~repro.robust.checkpoint.CheckpointStore`) to make the sweep
+resumable — an interrupted run replays completed points from its
+journal instead of re-executing them.  :func:`run_sweep_report`
+additionally returns the :class:`~repro.robust.report.RunReport`
+accounting for every grid point.
+
+The module also holds the one sweep the CLI, the daemon and the bench
+suite all run: the Fig. 11 partition sweep of one layer
+(:func:`sweep_measure`, its closed-form twin :func:`sweep_estimate`
+and the ledger scope :func:`sweep_ledger_version`).
 """
 
 from __future__ import annotations
@@ -320,3 +326,96 @@ def pivot_to_csv(
             [index_value, *[cells.get(column, "") for column in columns]]
         )
     return atomic_write_text(Path(path), buffer.getvalue())
+
+
+# ----------------------------------------------------------------------
+# The Fig. 11 partition sweep of one layer: the CLI ``sweep``/``resweep``
+# commands, the daemon's sweep jobs and the bench suite share these.
+# ----------------------------------------------------------------------
+def square_grid(count: int) -> Tuple[int, int]:
+    """Most-square power-of-two factorization of ``count``."""
+    rows = 1
+    while rows * rows < count:
+        rows <<= 1
+    return (count // rows, rows) if count % rows == 0 else (1, count)
+
+
+def sweep_ledger_version(layer: str, workload: str, macs: int) -> str:
+    """Ledger version string scoping sweep points to one simulation key.
+
+    The sweep grid's per-point parameters are just ``partitions``;
+    alone they would collide across layers in a shared ledger, so the
+    rest of the simulation key rides in the version string — changing
+    the layer, workload, macs budget or package version invalidates
+    reuse exactly the way a code upgrade invalidates a checkpoint.
+    """
+    from repro._version import __version__
+
+    return f"{__version__}/sweep layer={layer} workload={workload} macs={macs}"
+
+
+def sweep_measure(partitions: int, layer=None, macs: int = 0) -> dict:
+    """One partition-sweep point."""
+    from repro.config.presets import paper_scaling_config
+    from repro.engine.scaleout import ScaleOutSimulator
+
+    grid = square_grid(partitions)
+    shape = square_grid(macs // partitions)
+    config = paper_scaling_config(shape[0], shape[1], grid[0], grid[1])
+    result = ScaleOutSimulator(config).run_layer(layer)
+    return {
+        "array": f"{shape[0]}x{shape[1]}",
+        "cycles": result.total_cycles,
+        "avg_bw": round(result.avg_total_bw, 3),
+        "peak_bw": round(result.peak_total_bw, 3),
+    }
+
+
+def sweep_estimate(partitions: int, layer=None, macs: int = 0) -> tuple:
+    """Closed-form twin of :func:`sweep_measure` for analytical pruning.
+
+    Returns ``(row, score)`` in the :func:`run_sweep` estimator
+    contract.  ``cycles`` and ``avg_bw`` are *exact* — the
+    shape-class decomposition prices each of the <= 4 distinct tile
+    GEMMs with the closed-form model the tests pin to the engine —
+    while ``peak_bw`` reports the summed per-tile average bandwidth (a
+    lower bound; the true per-fold peak needs the engine's fold walk).
+    The score is the exact cycle count, the same objective
+    :func:`sweep_measure` minimizes.
+    """
+    from repro.analytical.traffic import estimate_traffic
+    from repro.config.presets import paper_scaling_config
+    from repro.mapping.dims import OperandMapping, map_layer
+    from repro.memory.buffers import BufferSet
+    from repro.utils.mathutils import split_evenly
+
+    grid = square_grid(partitions)
+    shape = square_grid(macs // partitions)
+    config = paper_scaling_config(shape[0], shape[1], grid[0], grid[1])
+    mapping = map_layer(layer, config.dataflow)
+    buffers = BufferSet.from_config(config.partition_config())
+
+    shape_counts: Dict[Tuple[int, int], int] = {}
+    for r in split_evenly(mapping.sr, grid[0]):
+        for c in split_evenly(mapping.sc, grid[1]):
+            if r == 0 or c == 0:
+                continue
+            shape_counts[(r, c)] = shape_counts.get((r, c), 0) + 1
+    cycles = 0
+    total_bytes = 0
+    peak_proxy = 0.0
+    for (r, c), count in shape_counts.items():
+        tile = OperandMapping(sr=r, sc=c, t=mapping.t, dataflow=mapping.dataflow)
+        estimate = estimate_traffic(
+            tile, shape[0], shape[1], buffers, config.word_bytes
+        )
+        cycles = max(cycles, estimate.total_cycles)
+        total_bytes += estimate.total_bytes * count
+        peak_proxy += estimate.avg_total_bw * count
+    row = {
+        "array": f"{shape[0]}x{shape[1]}",
+        "cycles": cycles,
+        "avg_bw": round(total_bytes / cycles, 3),
+        "peak_bw": round(peak_proxy, 3),
+    }
+    return row, float(cycles)

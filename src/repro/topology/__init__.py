@@ -1,21 +1,1 @@
 """Workload topology (paper Table II): layers, networks, CSV parsing."""
-
-from repro.topology.layer import ConvLayer, GemmLayer, Layer
-from repro.topology.network import Network
-from repro.topology.parser import (
-    load_topology,
-    parse_topology_text,
-    dump_topology,
-    TOPOLOGY_HEADER,
-)
-
-__all__ = [
-    "ConvLayer",
-    "GemmLayer",
-    "Layer",
-    "Network",
-    "load_topology",
-    "parse_topology_text",
-    "dump_topology",
-    "TOPOLOGY_HEADER",
-]

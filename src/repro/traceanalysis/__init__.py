@@ -5,15 +5,3 @@ this package supplies the standard tools: LRU reuse-distance profiles
 (the capacity-miss oracle for any buffer size) and per-stream
 statistics, computed directly from the engines' exact address streams.
 """
-
-from repro.traceanalysis.reuse import ReuseProfile, reuse_distances, reuse_profile
-from repro.traceanalysis.streams import StreamStats, stream_addresses, stream_stats
-
-__all__ = [
-    "ReuseProfile",
-    "reuse_distances",
-    "reuse_profile",
-    "StreamStats",
-    "stream_addresses",
-    "stream_stats",
-]

@@ -1,30 +1,1 @@
 """Shared utilities: integer math, validation helpers, atomic file io."""
-
-from repro.utils.atomicio import atomic_write_json, atomic_write_text
-from repro.utils.mathutils import (
-    ceil_div,
-    factor_pairs,
-    is_power_of_two,
-    next_power_of_two,
-    pow2_range,
-    split_evenly,
-)
-from repro.utils.validation import (
-    check_positive_int,
-    check_non_negative_int,
-    check_choice,
-)
-
-__all__ = [
-    "atomic_write_json",
-    "atomic_write_text",
-    "ceil_div",
-    "factor_pairs",
-    "is_power_of_two",
-    "next_power_of_two",
-    "pow2_range",
-    "split_evenly",
-    "check_positive_int",
-    "check_non_negative_int",
-    "check_choice",
-]

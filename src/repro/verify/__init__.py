@@ -9,57 +9,3 @@ shrinks every violation to a minimal repro, publishes it as a
 replayable regression bundle, and guards the paper's reproduced
 numbers behind blessed golden baselines.
 """
-
-from repro.verify.baseline import (
-    BaselineReport,
-    assert_baselines,
-    bless,
-    blessed_experiments,
-    check_baselines,
-    load_baseline,
-)
-from repro.verify.cases import VerifyCase
-from repro.verify.corpus import (
-    CORPUS_DIRNAME,
-    bundle_from_violation,
-    load_bundle,
-    load_corpus,
-    replay_bundle,
-    replay_corpus,
-    write_bundle,
-)
-from repro.verify.generate import CaseGenerator
-from repro.verify.harness import VerifyReport, run_verify
-from repro.verify.mutation import MUTANTS, MutationReport, run_mutation_smoke
-from repro.verify.oracles import Violation
-from repro.verify.properties import PROPERTIES, Property, resolve_properties
-from repro.verify.shrink import shrink_case, shrink_text
-
-__all__ = [
-    "BaselineReport",
-    "CORPUS_DIRNAME",
-    "CaseGenerator",
-    "MUTANTS",
-    "MutationReport",
-    "PROPERTIES",
-    "Property",
-    "VerifyCase",
-    "VerifyReport",
-    "Violation",
-    "assert_baselines",
-    "bless",
-    "blessed_experiments",
-    "bundle_from_violation",
-    "check_baselines",
-    "load_baseline",
-    "load_bundle",
-    "load_corpus",
-    "replay_bundle",
-    "replay_corpus",
-    "resolve_properties",
-    "run_mutation_smoke",
-    "run_verify",
-    "shrink_case",
-    "shrink_text",
-    "write_bundle",
-]

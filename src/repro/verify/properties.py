@@ -19,7 +19,7 @@ model predicts the absolute numbers:
 * ``vectorized`` — the numpy sweep-compiler kernels
   (:mod:`repro.analytical.vectorized`) are bit-identical to the scalar
   analytical model (rel_tol 0);
-* ``dram`` — the columnar DRAM replay (:class:`repro.dram.DramSimulator`)
+* ``dram`` — the columnar DRAM replay (:class:`repro.dram.simulator.DramSimulator`)
   is bit-identical to the scalar reference channel on the case's layer
   trace and on a seeded random trace, across channels, refresh and
   reorder windows;

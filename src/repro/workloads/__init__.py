@@ -1,30 +1,1 @@
 """Built-in workloads used by the paper's evaluation."""
-
-from repro.workloads.resnet50 import resnet50, fig10_resnet_layers, PAPER_CBA3_LAYER
-from repro.workloads.language import (
-    language_models,
-    language_layer,
-    TABLE_IV_DIMS,
-    PAPER_TF0_LAYER,
-)
-from repro.workloads.alexnet import alexnet
-from repro.workloads.bert import bert_encoder
-from repro.workloads.mobilenet import mobilenet_v1
-from repro.workloads.vgg16 import vgg16
-from repro.workloads.registry import available_workloads, get_workload
-
-__all__ = [
-    "resnet50",
-    "fig10_resnet_layers",
-    "PAPER_CBA3_LAYER",
-    "language_models",
-    "language_layer",
-    "TABLE_IV_DIMS",
-    "PAPER_TF0_LAYER",
-    "alexnet",
-    "bert_encoder",
-    "mobilenet_v1",
-    "vgg16",
-    "available_workloads",
-    "get_workload",
-]

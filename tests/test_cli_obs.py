@@ -15,6 +15,8 @@ from repro.cli import (
     main,
 )
 from repro.obs import flight
+from repro.perf.cache import cache
+from repro.store.runtime import STORE_ENV_VAR, deactivate
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +102,57 @@ class TestTraceAndMetricsFlags:
         assert code != 0
         assert trace_path.exists()
         json.loads(trace_path.read_text())
+
+
+class TestCacheAndStoreFlags:
+    """The global --no-cache/--store/--no-store flags reach the engine."""
+
+    RUN = ["run", "--workload", "resnet50", "--array", "32x32"]
+
+    @pytest.fixture(autouse=True)
+    def _pristine_memo(self, monkeypatch):
+        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
+        deactivate()
+        cache.reset()
+        yield
+        deactivate()
+        cache.reset()
+
+    def _counters(self, path, *flags):
+        obs.reset()
+        assert main([*flags, "--metrics", str(path), *self.RUN]) == 0
+        return json.loads(path.read_text())["counters"]
+
+    def test_no_cache_skips_the_lru(self, tmp_path, capsys):
+        counters = self._counters(tmp_path / "off.json", "--no-cache")
+        assert counters.get("perf.cache.hits", 0) == 0
+        cache.reset()
+        counters = self._counters(tmp_path / "on.json")
+        assert counters["perf.cache.hits"] > 0
+
+    def test_store_publishes_then_serves_a_fresh_process(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        first = self._counters(tmp_path / "first.json", "--store", str(store))
+        published = list(store.rglob("entries/*/*.json"))
+        assert published and first["store.writes"] == len(published)
+        cold = capsys.readouterr().out
+        cache.reset()  # a new process: empty LRU, same store directory
+        second = self._counters(tmp_path / "second.json", "--store", str(store))
+        assert second["store.hits"] == len(published)
+        assert second.get("store.writes", 0) == 0
+        assert capsys.readouterr().out == cold
+
+    def test_no_store_overrides_the_environment(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "store"
+        monkeypatch.setenv(STORE_ENV_VAR, str(store))
+        assert main(["--no-store", *self.RUN]) == 0
+        assert not list(store.rglob("*.json"))
+        # Without the flag the same run publishes into the inherited store.
+        deactivate()
+        monkeypatch.setenv(STORE_ENV_VAR, str(store))
+        cache.reset()
+        assert main(self.RUN) == 0
+        assert list(store.rglob("entries/*/*.json"))
 
 
 class TestStatsCommand:

@@ -7,7 +7,13 @@ package, lazy imports inside functions included:
   nothing of the store (the ledger depends on its checkpoint journal,
   not the other way round);
 * ``repro.utils`` is the bottom layer and only raises ``repro.errors``;
-* ``repro.store`` never reaches up into the layers that drive it.
+* ``repro.store`` never reaches up into the layers that drive it;
+* ``repro.engine`` knows nothing of the store, the service, sweeps, the
+  CLI, the experiments or the verifier: results reach the store through
+  the one memo seam in :mod:`repro.perf.cache`.  ``repro.robust`` is not
+  banned there, because ``simulate(verify=True)`` lazily imports
+  ``repro.robust.invariants`` to cross-check its own result; only a
+  caller that asks for that check pays the import.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ FORBIDDEN = {
     "repro.robust": ("repro.perf", "repro.store", "repro.serve", "repro.sweep"),
     "repro.store": (
         "repro.serve", "repro.sweep", "repro.perf", "repro.verify", "repro.cli",
+    ),
+    "repro.engine": (
+        "repro.store", "repro.serve", "repro.sweep", "repro.cli",
+        "repro.experiments", "repro.verify",
     ),
 }
 

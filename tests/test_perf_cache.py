@@ -15,7 +15,7 @@ from repro.engine.simulator import Simulator
 from repro.obs import metrics
 from repro.perf.cache import SimulationCache, cache, simulation_key
 from repro.resilience.faultmap import FaultMap
-from repro.workloads import get_workload
+from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(autouse=True)

@@ -19,8 +19,7 @@ from repro.perf.compiler import (
     frontier_indices,
     simulate_candidates,
 )
-from repro.serve.jobs import sweep_estimate, sweep_measure
-from repro.sweep import run_sweep, run_sweep_report
+from repro.sweep import run_sweep, run_sweep_report, sweep_estimate, sweep_measure
 from repro.workloads.language import language_layer
 from repro.workloads.registry import get_workload
 

@@ -30,17 +30,16 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigError, InvariantError, ResilienceError
 from repro.experiments.registry import run_experiment
 from repro.mapping.dims import OperandMapping, map_layer
-from repro.noc import DegradedMeshNoc, MeshNoc, layer_noc_cost
-from repro.resilience import (
+from repro.noc.cost import layer_noc_cost
+from repro.noc.mesh import DegradedMeshNoc, MeshNoc
+from repro.resilience.faultmap import (
     HEALTHY,
     FaultMap,
     fault_map_from_dict,
     load_fault_map,
-    predict_layer_cycles,
     random_fault_map,
-    remap_layer,
-    tile_cycles,
 )
+from repro.resilience.remap import predict_layer_cycles, remap_layer, tile_cycles
 from repro.robust.faults import fault_scenario, scenario_seed
 from repro.robust.invariants import check_layer_result, expected_cycles
 from repro.topology.layer import GemmLayer

@@ -27,7 +27,7 @@ from repro.serve.daemon import (
     make_server,
 )
 from repro.serve.jobs import job_key, normalize_request
-from repro.store import configure as store_configure, deactivate
+from repro.store.runtime import configure as store_configure, deactivate
 
 
 @pytest.fixture(autouse=True)

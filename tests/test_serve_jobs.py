@@ -8,16 +8,9 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.serve import jobs
-from repro.serve.jobs import (
-    SWEEP_LEDGER_ENV,
-    execute_job,
-    job_key,
-    normalize_request,
-    square_grid,
-    sweep_ledger_version,
-    sweep_measure,
-)
+from repro.serve.jobs import SWEEP_LEDGER_ENV, execute_job, job_key, normalize_request
 from repro.store.ledger import SweepLedger
+from repro.sweep import square_grid, sweep_ledger_version, sweep_measure
 from repro.workloads.language import TABLE_IV_DIMS, language_layer
 
 

@@ -16,7 +16,7 @@ import pytest
 from repro.config.presets import paper_scaling_config
 from repro.engine.simulator import Simulator
 from repro.perf.cache import cache
-from repro.store import (
+from repro.store.runtime import (
     STORE_ENV_VAR,
     active,
     configure,

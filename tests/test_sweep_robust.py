@@ -8,14 +8,10 @@ import pytest
 from repro.config.presets import paper_scaling_config
 from repro.engine.scaleout import simulate
 from repro.errors import InvariantError
-from repro.robust import (
-    CheckpointStore,
-    ExecutionPolicy,
-    Fault,
-    check_layer_result,
-    inject_faults,
-)
-from repro.robust.faults import InjectedFault
+from repro.robust.checkpoint import CheckpointStore
+from repro.robust.faults import Fault, InjectedFault, inject_faults
+from repro.robust.invariants import check_layer_result
+from repro.robust.policy import ExecutionPolicy
 from repro.sweep import run_sweep, run_sweep_report
 from repro.topology.layer import GemmLayer
 
