@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Ledger smoke test: the columnar sweep ledger survives its three enemies.
 
-Three drills, each one fatal to a naive result store:
+Three drills, each one fatal to a naive results file:
 
 1. **Torn write.**  A child process sweeps with
    ``REPRO_LEDGER_CRASH_POINT=mid-segment-publish`` armed and is killed

@@ -218,6 +218,20 @@ def _warn_ignored_workers(args: argparse.Namespace) -> None:
         )
 
 
+#: The retired result store's environment variable; setting it only warns.
+STORE_ENV_VAR = "REPRO_RESULT_STORE"
+
+
+def _warn_ignored_store(args: argparse.Namespace) -> None:
+    """The retired result store's flags and variable are accepted so
+    scripts keep working."""
+    if args.store or args.no_store or os.environ.get(STORE_ENV_VAR):
+        logger.warning(
+            "--store, --no-store and %s are deprecated and ignored: "
+            "simulation results are not persisted", STORE_ENV_VAR,
+        )
+
+
 def _robust_policy(args: argparse.Namespace) -> ExecutionPolicy:
     from repro.robust.policy import ExecutionPolicy
 
@@ -1075,14 +1089,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--store", metavar="DIR",
-        help="persist simulation results in a content-addressed store at "
-             "DIR (created if missing); identical points are served from "
-             "disk across runs and processes",
+        help="deprecated and ignored: simulation results are not persisted",
     )
     parser.add_argument(
         "--no-store", dest="no_store", action="store_true",
-        help="disable the persistent result store (overrides --store and "
-             "the REPRO_RESULT_STORE environment variable)",
+        help="deprecated and ignored: simulation results are not persisted",
     )
     parser.add_argument(
         "--log-level", dest="log_level",
@@ -1427,17 +1438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.perf.cache import cache
 
         cache.disable()
-    try:
-        if args.no_store or args.store:
-            from repro.store import runtime as store_runtime
-
-            if args.no_store:
-                store_runtime.disable()
-            else:
-                store_runtime.configure(args.store)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+    _warn_ignored_store(args)
     sinks_requested = bool(args.trace or args.metrics or args.events)
     if sinks_requested:
         vector = list(argv) if argv is not None else list(sys.argv[1:])

@@ -69,10 +69,11 @@ class StorageError(ReproError, OSError):
 
 
 class StoreCorruptionError(StorageError):
-    """Raised when the result store itself (not one entry) is unusable:
-    the root is not a directory, the store layout cannot be created,
-    or quarantine repeatedly fails.  Individual corrupted entries never
-    raise — they are quarantined and recomputed transparently."""
+    """Raised when a sweep ledger directory itself (not one segment) is
+    unusable: the root is not a directory, the layout cannot be
+    created, the unsealed journal cannot be read, or a read-only open
+    is asked to record.  Corrupt segments never raise — they are
+    quarantined and their points re-simulated transparently."""
 
 
 class LedgerCorruptionError(StorageError):

@@ -1,6 +1,6 @@
 """Crash flight recorder: a bounded ring of recent telemetry, dumped on failure.
 
-Postmortems of interrupted sweeps, store corruption, or daemon crashes
+Postmortems of interrupted sweeps, ledger corruption, or daemon crashes
 used to require reproducing the failure with ``--trace`` armed.  The
 flight recorder removes that step: while armed, it taps the process's
 existing telemetry —

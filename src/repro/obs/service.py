@@ -2,16 +2,16 @@
 
 Two concerns shared by the daemon and the client:
 
-**Correlation IDs.**  One ``repro submit`` round-trip crosses three
-process/thread boundaries (client → daemon accept thread → job thread
-→ store).  A correlation ID minted once — client-side in
+**Correlation IDs.**  One ``repro submit`` round-trip crosses a
+process and a thread boundary (client → daemon accept thread → job
+thread).  A correlation ID minted once — client-side in
 :meth:`repro.serve.client.ServiceClient.submit`, or at daemon ingress
 for clients that send none — is carried in the
 :data:`CORRELATION_HEADER` HTTP header and bound into the tracer's
 thread-local context on the serving thread, so every span and event
 recorded while the job runs carries ``cid=...``.  The result: one
-stitched trace per job whose queue-wait, execution and store segments
-all share a single ID, greppable in daemon logs and visible in the
+stitched trace per job whose queue-wait and execution segments all
+share a single ID, greppable in daemon logs and visible in the
 exported trace JSON.
 
 **Prometheus text exposition.**  :func:`prometheus_text` renders a

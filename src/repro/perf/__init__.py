@@ -4,10 +4,9 @@
 without changing what they compute:
 
 * :mod:`~repro.perf.cache` — the engine's one memo seam: a
-  process-wide bounded LRU memoizing simulated ``(LayerResult,
-  DramTraffic)`` pairs across layers, tiles and grid points (ResNet-50
-  repeats conv shapes; scale-out grids collapse to <= 4 distinct GEMMs
-  per layer), backed by the persistent result store when one is active.
+  process-wide LRU memoizing simulated ``(LayerResult, DramTraffic)``
+  pairs across layers, tiles and grid points (ResNet-50 repeats conv
+  shapes; scale-out grids collapse to <= 4 distinct GEMMs per layer).
 * :mod:`~repro.perf.compiler` — the sweep compiler: an entire
   (grid x array shape) design space evaluated as numpy arrays in a few
   vectorized passes, with frontier selection so the cycle-accurate

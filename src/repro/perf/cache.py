@@ -10,20 +10,23 @@ collapses to at most four distinct tile GEMMs, and pareto searches
 revisit whole configurations — so memoizing the pair is a large win at
 zero accuracy cost.
 
-The cache is bounded (LRU eviction), thread-safe (the retry/timeout
-executor runs attempts on worker threads), disabled at a flip of a
-switch, and observable: hits/misses/evictions are mirrored into
-``repro.obs.metrics`` (as ``perf.cache.*`` counters) whenever metrics
-are enabled, and always available locally via :meth:`SimulationCache.info`.
+The cache is bounded in entries (LRU eviction), thread-safe (the
+retry/timeout executor runs attempts on worker threads), disabled at a
+flip of a switch, and observable: hits/misses/evictions are mirrored
+into ``repro.obs.metrics`` (as ``perf.cache.*`` counters) whenever
+metrics are enabled, and always available locally via
+:meth:`SimulationCache.info`.
 
 Cached results are keyed on everything the simulator reads; the fault
 spec is part of the key so degraded configurations can never alias
 healthy ones.  Layer names are *not* part of the key — a hit is
 re-labelled for the requesting layer via ``dataclasses.replace``.
 
-:func:`memoize` is the engine's one memo seam: the LRU first, then the
-persistent result store (:mod:`repro.store.runtime`, imported on first
-use, so the engine itself knows nothing about disks).
+:func:`memoize` is the engine's one memo seam, and this LRU is the only
+memo tier: results live as long as the process.  Nothing persists them
+across processes, because recomputing a layer is cheaper than reading
+a record of it back (``docs/performance.md``, "No persistent result
+store").
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.results import LayerResult
     from repro.memory.bandwidth import DramTraffic
 
-#: Default bound: at ~1 KiB per entry this caps the cache near 4 MiB.
+#: Default bound, in entries, not bytes.  An entry holds its layer's
+#: per-fold lists, so its size grows with the fold count: the 630
+#: entries of every registered workload on {8x8, 32x32, 128x128} x
+#: {OS, WS, IS} hold 318 MiB of them, the largest 55 MiB (one layer of
+#: 1.6M folds), while ``serve_load``'s 977 entries hold about 10 MiB.
+#: Fold runs (ROADMAP item 2) shrink entries to O(shape classes).
 DEFAULT_MAX_ENTRIES = 4096
 
 CacheValue = Tuple["LayerResult", "DramTraffic"]
@@ -182,20 +190,12 @@ cache = SimulationCache()
 def memoize(key: Hashable, compute: Callable[[], CacheValue]) -> Tuple[CacheValue, bool]:
     """The pair for ``key`` and whether it was memoized.
 
-    Probes the LRU, then the active result store (a store hit is
-    promoted into the LRU).  On a miss ``compute()`` runs and its pair
-    goes into the LRU and, best effort, into the store.
+    Probes the LRU; on a miss ``compute()`` runs and its pair goes into
+    the LRU.
     """
     value = cache.get(key)
     if value is not None:
         return value, True
-    from repro.store import runtime as store_runtime
-
-    value = store_runtime.probe(key)
-    if value is not None:
-        cache.put(key, value)
-        return value, True
     value = compute()
     cache.put(key, value)
-    store_runtime.record(key, value)
     return value, False

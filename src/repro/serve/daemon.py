@@ -16,17 +16,13 @@ Admission control (the "stays up under abuse" contract):
 * **Single-flight dedup.**  Requests are keyed by
   :func:`repro.serve.jobs.job_key`; a request identical to one already
   in flight *joins* it — one execution, N responses — so a thundering
-  herd of identical sweeps costs one simulation.  Completed results
-  persist in the shared result store, so even non-overlapping repeats
-  hit disk instead of the simulator.
+  herd of identical sweeps costs one simulation.  Layers a completed
+  job simulated stay in the process-wide LRU (:mod:`repro.perf.cache`),
+  so non-overlapping repeats are served from memory.
 * **Request timeouts.**  Jobs execute through
   :func:`repro.robust.executor.execute_point` under an
   :class:`~repro.robust.policy.ExecutionPolicy` wall-clock budget; a
   runaway job yields a 500 for its waiters, never a wedged daemon.
-* **Graceful degradation.**  Store corruption or a full disk flips the
-  result store to compute-only mode (see
-  :mod:`repro.store.result_store`); the daemon keeps serving and
-  ``/health`` reports the degradation.
 * **Graceful shutdown.**  SIGTERM/SIGINT stop admission (503 for new
   requests), drain in-flight jobs up to ``drain_timeout`` seconds, then
   exit cleanly.
@@ -34,7 +30,7 @@ Admission control (the "stays up under abuse" contract):
 Endpoints::
 
     POST /submit   body = job request JSON       -> job result
-    GET  /health   pool + store + quota snapshot -> 200 always
+    GET  /health   pool + quota snapshot         -> 200 always
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ from repro.obs.service import (
 from repro.robust.executor import execute_point
 from repro.robust.policy import ExecutionPolicy
 from repro.serve.jobs import execute_job, job_key, normalize_request
-from repro.store import runtime as store_runtime
 
 logger = logging.getLogger("repro.serve")
 
@@ -171,8 +166,8 @@ class SimulationService:
         ``X-Repro-Correlation-Id`` header); one is minted at ingress if
         absent.  It is bound into the tracer's thread-local context for
         the whole request, stamped on the job thread too, and echoed in
-        the response body — one ID stitches the request's queue-wait,
-        execution and store segments across every thread that touched it.
+        the response body — one ID stitches the request's queue-wait
+        and execution segments across every thread that touched it.
         """
         cid = correlation_id or new_correlation_id()
         with trace.bound(**{CORRELATION_KEY: cid}):
@@ -322,19 +317,16 @@ class SimulationService:
     # Health & shutdown
     # ------------------------------------------------------------------
     def health(self) -> Dict:
-        store = store_runtime.active()
         with self._lock:
             jobs = len(self._jobs)
             clients = dict(self._inflight_clients)
             counts = dict(self._counts)
             draining = self._draining
-        degraded = bool(store is not None and store.degraded_reason)
         return {
-            "status": "draining" if draining else "degraded" if degraded else "ok",
+            "status": "draining" if draining else "ok",
             "version": __version__,
             "pid": os.getpid(),
             "uptime": time.time() - self.started_unix,
-            "degraded_store": degraded,
             "policy": {
                 "workers": self.policy.workers,
                 "max_queue": self.policy.max_queue,
@@ -344,7 +336,6 @@ class SimulationService:
             "jobs_in_flight": jobs,
             "clients_in_flight": clients,
             "counters": counts,
-            "store": store.status() if store is not None else None,
         }
 
     def metrics_text(self) -> str:
@@ -355,7 +346,6 @@ class SimulationService:
         registry snapshot; identical raw names dedup, so the mirrored
         ``serve.*`` counters never export twice.
         """
-        store = store_runtime.active()
         with self._lock:
             counts = dict(self._counts)
             jobs = len(self._jobs)
@@ -370,8 +360,6 @@ class SimulationService:
             "serve.draining": 1 if draining else 0,
             'build_info{version="%s"}' % __version__: 1,
         }
-        if store is not None:
-            extra_gauges["store.degraded"] = 1 if store.degraded_reason else 0
         return prometheus_text(
             metrics, extra_counters=extra_counters, extra_gauges=extra_gauges
         )

@@ -14,8 +14,8 @@ methodology:
 :func:`normalize_request` canonicalizes a request (defaults filled,
 unknown fields rejected) so :func:`job_key` — the ``repro.obs`` config
 hash of the canonical form plus the package version — is identical for
-semantically identical requests; the daemon's single-flight table and
-the result store both dedup on that property.
+semantically identical requests; the daemon's single-flight table
+dedups on that property.
 
 Sweep jobs run the same partition sweep as the CLI ``sweep``
 subcommand, :func:`repro.sweep.sweep_measure`.

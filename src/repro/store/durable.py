@@ -1,8 +1,8 @@
-"""Bookkeeping shared by the result store and the sweep ledger.
+"""Bookkeeping of a durable directory: counters, degrade ladder, lock,
+manifest and quarantine.
 
-Each of :class:`~repro.store.result_store.ResultStore` and
 :class:`~repro.store.ledger.SweepLedger` owns one :class:`DurableRoot`
-(composition keeps their own entry points defined on their classes).
+(composition keeps the ledger's own entry points defined on its class).
 It applies the durability contract in ``docs/robustness.md`` to one
 directory; the file-level primitives live in :mod:`repro.utils.atomicio`,
 which :mod:`repro.robust.checkpoint` shares without importing this
@@ -27,16 +27,15 @@ from repro.utils.atomicio import append_line, flock, iter_json_lines, move_to_co
 class DurableRoot:
     """Counters, degrade ladder, lock, manifest and quarantine of one directory.
 
-    ``kind`` names the directory in messages ("result store"),
+    ``kind`` names the directory in messages ("sweep ledger"),
     ``prefix`` its metrics namespace and ``field`` the manifest key
-    naming a published file ("key", "segment"); a message calls one
-    file ``<prefix> <field>``.  ``modes`` is the degrade ladder, most
-    durable first; ``counters`` names the
-    owner's own counters (``quarantined``, ``errors`` and ``recovered``
-    are kept here for every directory).  ``writable`` is how the
-    directory was *opened* and never changes; degradation is tracked
-    separately in :attr:`mode`.  Only the ledger keeps a manifest; its
-    lines are stamped with the writer's pid.
+    naming a published file ("segment"); a message calls one file
+    ``<prefix> <field>``.  ``modes`` is the degrade ladder, most
+    durable first; ``counters`` names the owner's own counters
+    (``quarantined``, ``errors`` and ``recovered`` are kept here too).
+    ``writable`` is how the directory was *opened* and never changes;
+    degradation is tracked separately in :attr:`mode`.  Manifest lines
+    are stamped with the writer's pid.
     """
 
     def __init__(
@@ -115,10 +114,9 @@ class DurableRoot:
     # ------------------------------------------------------------------
     # Lock and manifest
     # ------------------------------------------------------------------
-    def lock(self, shared: bool = False) -> ContextManager[None]:
-        """The cross-process writer lock, exclusive unless ``shared``
-        (store puts); a no-op for read-only opens."""
-        return flock(self.lock_path, shared) if self.writable else nullcontext()
+    def lock(self) -> ContextManager[None]:
+        """The cross-process writer lock; a no-op for read-only opens."""
+        return flock(self.lock_path) if self.writable else nullcontext()
 
     def append_manifest(self, entry: Dict) -> None:
         """Fsynced manifest append (raises ``OSError``); call under :meth:`lock`."""
@@ -139,12 +137,10 @@ class DurableRoot:
     # ------------------------------------------------------------------
     # Quarantine and recovery
     # ------------------------------------------------------------------
-    def quarantine(
-        self, path: Path, name: str, reason: str, suffix: str = "", journal: bool = False
-    ) -> Optional[Path]:
-        """Move corrupt ``path`` to ``corrupt/<name>.<n><suffix>``; never raises.
+    def quarantine(self, path: Path, name: str, reason: str) -> Optional[Path]:
+        """Move corrupt ``path`` to ``corrupt/<name>.<n>``; never raises.
 
-        Call under the exclusive :meth:`lock`.  ``journal`` also appends a
+        Call under :meth:`lock`.  A durable open also appends a
         ``quarantine`` manifest line.  A read-only open logs and counts
         the corruption but leaves the file where it is.
         """
@@ -155,7 +151,7 @@ class DurableRoot:
                 self.prefix, self.field, name, reason,
             )
             return None
-        destination = move_to_corrupt(path, self.corrupt_dir, name, suffix)
+        destination = move_to_corrupt(path, self.corrupt_dir, name)
         if metrics.enabled:
             metrics.counter(f"{self.prefix}.corrupt_detected").add()
         self.logger.warning(
@@ -163,7 +159,7 @@ class DurableRoot:
             self.prefix, self.field, name, reason,
             f" -> {destination}" if destination else "",
         )
-        if journal and self.durable:
+        if self.durable:
             try:
                 self.append_manifest(
                     {"op": "quarantine", self.field: name, "reason": reason}
@@ -173,16 +169,15 @@ class DurableRoot:
         return destination
 
     def reconcile(
-        self, temps: Iterable[Path], published: Iterable[Tuple[str, Dict]] = (), op: str = ""
+        self, temps: Iterable[Path], published: Iterable[Tuple[str, Dict]], op: str
     ) -> Dict[str, int]:
-        """Open-time repair under the exclusive lock; safe (and run) at every open.
+        """Open-time repair under the lock; safe (and run) at every open.
 
-        Unlinks ``temps`` — live writers hold the lock (shared or not)
-        while their temp file exists, so anything visible here is a crash
-        orphan — and appends a recovered ``op`` line for every ``(name,
-        extra)`` in ``published`` the manifest does not already show as
-        ``op``; no ``op``, no manifest read.  Quarantines made while
-        ``published`` is walked count as repairs.
+        Unlinks ``temps`` — live writers hold the lock while their temp
+        file exists, so anything visible here is a crash orphan — and
+        appends a recovered ``op`` line for every ``(name, extra)`` in
+        ``published`` the manifest does not already show as ``op``.
+        Quarantines made while ``published`` is walked count as repairs.
         """
         repairs = {"orphan_tmp": 0, "rejournaled": 0, "quarantined": 0}
         quarantined = self.counts()["quarantined"]
@@ -194,7 +189,7 @@ class DurableRoot:
                         repairs["orphan_tmp"] += 1
                     except OSError:  # pragma: no cover - raced another opener
                         pass
-            journalled = self.manifest_ops() if op else {}
+            journalled = self.manifest_ops()
             for name, extra in published:
                 if not self.durable or journalled.get(name) == op:
                     continue

@@ -23,9 +23,8 @@ Every :meth:`~SweepLedger.record` is fsynced into ``active.jsonl``
 through a :class:`~repro.robust.checkpoint.CheckpointStore` — that file
 *is* the checkpoint journal, scoped to the unsealed tail — and every
 ``segment_entries`` records the tail seals into a segment.  The
-durability contract (shared with the result store and the checkpoint
-journal) and the writer model for ledgers sharing a root are in
-``docs/robustness.md``.
+durability contract (shared with the checkpoint journal) and the writer
+model for ledgers sharing a root are in ``docs/robustness.md``.
 
 Incremental re-sweep
 --------------------
@@ -252,7 +251,7 @@ class SweepLedger:
             try:
                 segment = Segment(path)
             except LedgerCorruptionError as exc:
-                self._durable.quarantine(path, path.name, str(exc), journal=True)
+                self._durable.quarantine(path, path.name, str(exc))
                 continue
             self._segments[path.name] = segment
             for meta in segment.entry_metas():

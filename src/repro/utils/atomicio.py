@@ -54,16 +54,14 @@ def _storage_error(action: str, path: Path, exc: OSError) -> StorageError:
     return StorageError(exc.errno or 0, f"cannot {action}: {reason}", str(path))
 
 
-def atomic_write_bytes(path: Union[str, Path], payload: bytes, fsync: bool = True) -> Path:
+def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> Path:
     """Durably replace ``path``'s contents with binary ``payload``.
 
     The write is all-or-nothing: readers only ever observe the previous
     complete contents or the new complete contents.  The temporary file
     is cleaned up on failure — including ``ENOSPC``/``EIO``, which
     surface as :class:`~repro.errors.StorageError` — and the original
-    file (if any) is left untouched.  ``fsync=False`` (for a cache that
-    detects damage) stays atomic under ``kill -9``, but a power loss can
-    leave the new file empty or cut short.
+    file (if any) is left untouched.
     """
     path = Path(path)
     try:
@@ -75,9 +73,8 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes, fsync: bool = Tru
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException as failure:
         try:
@@ -176,13 +173,12 @@ def iter_json_lines(
 
 
 @contextmanager
-def flock(path: Union[str, Path], shared: bool = False) -> Iterator[None]:
+def flock(path: Union[str, Path]) -> Iterator[None]:
     """Hold an exclusive ``flock`` on ``path`` (best effort without fcntl).
 
     The lock belongs to the open file description, so it serializes
     threads of one process as well as separate processes — and a holder
-    must not take it again.  ``shared`` holders run together, never
-    beside an exclusive one.  If the lock file cannot be opened the body
+    must not take it again.  If the lock file cannot be opened the body
     runs unlocked, as on platforms without ``fcntl``.
     """
     try:
@@ -193,14 +189,12 @@ def flock(path: Union[str, Path], shared: bool = False) -> Iterator[None]:
         yield
         return
     with handle:  # closing the only descriptor releases the lock
-        fcntl.flock(handle.fileno(), fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         yield
 
 
-def move_to_corrupt(
-    path: Path, corrupt_dir: Path, stem: str, suffix: str = ""
-) -> Optional[Path]:
-    """Move ``path`` to ``corrupt_dir/<stem>.<n><suffix>``, first free ``n``.
+def move_to_corrupt(path: Path, corrupt_dir: Path, stem: str) -> Optional[Path]:
+    """Move ``path`` to ``corrupt_dir/<stem>.<n>``, first free ``n``.
 
     Never raises: if the move fails the file is unlinked so it cannot
     be re-read, and failing that it is left behind (the next read
@@ -208,7 +202,7 @@ def move_to_corrupt(
     """
     destination: Optional[Path] = None
     for attempt in range(100):
-        candidate = corrupt_dir / f"{stem}.{attempt}{suffix}"
+        candidate = corrupt_dir / f"{stem}.{attempt}"
         if not candidate.exists():
             destination = candidate
             break

@@ -15,7 +15,7 @@ model predicts the absolute numbers:
 * ``permutation`` — a network's summed totals are invariant under
   layer order;
 * ``cache_identity`` — memoized, cold and cache-disabled runs are
-  identical, and the result-store wire codec round-trips losslessly;
+  identical across dataflows;
 * ``vectorized`` — the numpy sweep-compiler kernels
   (:mod:`repro.analytical.vectorized`) are bit-identical to the scalar
   analytical model (rel_tol 0);
@@ -49,7 +49,6 @@ from repro.engine.tracefiles import dram_request_stream
 from repro.errors import ConfigError, ReproError, TopologyError
 from repro.memory.bandwidth import compute_dram_traffic
 from repro.perf.cache import cache
-from repro.store.records import decode_result_pair, encode_result_pair
 from repro.topology.network import Network
 from repro.topology.parser import parse_topology_text
 from repro.verify.cases import VerifyCase
@@ -202,8 +201,7 @@ def prop_cache_identity(case: VerifyCase) -> List[Violation]:
     """Cold, memoized and cache-disabled runs must be identical.
 
     Also exercises cache-key isolation across dataflows (a key that
-    drops any field would alias these runs) and the result-store wire
-    codec (encode/decode must round-trip losslessly).
+    drops any field would alias these runs).
     """
     violations: List[Violation] = []
     was_enabled = cache.enabled
@@ -242,37 +240,6 @@ def prop_cache_identity(case: VerifyCase) -> List[Violation]:
             cache.clear()
         else:
             cache.disable()
-
-    config = case.scaleup_config()
-    sim = Simulator(config, loop_order=case.loop_order)
-    layer = case.layer()
-    result = sim.run_layer(layer)
-    traffic = compute_dram_traffic(
-        sim.engine(layer), sim.buffers, config.word_bytes, loop_order=case.loop_order
-    )
-    decoded_result, decoded_traffic = decode_result_pair(
-        encode_result_pair(result, traffic)
-    )
-    from dataclasses import replace as _replace
-
-    if _replace(decoded_result, layer_name=result.layer_name) != result:
-        violations.append(
-            Violation(
-                prop="cache_identity",
-                message="result-store codec did not round-trip the LayerResult",
-                expected=repr(result),
-                actual=repr(decoded_result),
-                case=case,
-            )
-        )
-    if decoded_traffic != traffic:
-        violations.append(
-            Violation(
-                prop="cache_identity",
-                message="result-store codec did not round-trip the DramTraffic",
-                case=case,
-            )
-        )
     return violations
 
 
@@ -579,7 +546,7 @@ PROPERTIES: Dict[str, Property] = {
         Property("permutation", "case", prop_permutation,
                  "network totals invariant under layer order"),
         Property("cache_identity", "case", prop_cache_identity,
-                 "cold == memoized == cache-off; store codec round-trips"),
+                 "cold == memoized == cache-off across dataflows"),
         Property("vectorized", "case", prop_vectorized,
                  "vectorized numpy kernels bit-identical to the scalar model"),
         Property("dram", "case", prop_dram,

@@ -1,14 +1,11 @@
 """Cache-key isolation: results must never leak across configurations.
 
-The LRU memo (:mod:`repro.perf.cache`) and the durable result store
-(:mod:`repro.store`) both key on :func:`simulation_key`.  Any field
-that influences a simulation but is missing from the key silently
-aliases two different machines — the worst kind of wrong answer.
-These tests pin every discriminating field, including adversarial
-near-collisions.
+The LRU memo (:mod:`repro.perf.cache`) keys on :func:`simulation_key`.
+Any field that influences a simulation but is missing from the key
+silently aliases two different machines — the worst kind of wrong
+answer.  These tests pin every discriminating field, including
+adversarial near-collisions.
 """
-
-import unittest.mock as mock
 
 import pytest
 
@@ -16,7 +13,6 @@ from repro.config.hardware import Dataflow, HardwareConfig
 from repro.engine.simulator import Simulator
 from repro.perf.cache import SimulationCache, cache, simulation_key
 from repro.resilience.faultmap import FaultMap
-from repro.store.runtime import store_key
 from repro.topology.layer import GemmLayer
 
 
@@ -131,23 +127,3 @@ class TestEndToEndIsolation:
             else:
                 cache.disable()
             cache.clear()
-
-
-class TestStoreKeyIsolation:
-    def test_store_key_differs_across_sim_keys(self):
-        assert store_key(_key(BASE)) != store_key(_key(BASE, m=7))
-        assert store_key(_key(BASE)) != store_key(
-            _key(BASE.with_dataflow(Dataflow.WEIGHT_STATIONARY))
-        )
-
-    def test_store_key_is_version_scoped(self):
-        import repro._version as version_mod
-
-        key = _key(BASE)
-        current = store_key(key)
-        with mock.patch.object(version_mod, "__version__", "0.0.0-other"):
-            other = store_key(key)
-        assert current != other
-
-    def test_store_key_is_stable_for_equal_keys(self):
-        assert store_key(_key(BASE)) == store_key(_key(BASE))

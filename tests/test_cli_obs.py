@@ -16,7 +16,9 @@ from repro.cli import (
 )
 from repro.obs import flight
 from repro.perf.cache import cache
-from repro.store.runtime import STORE_ENV_VAR, deactivate
+
+#: The retired result store's environment variable; setting it only warns.
+STORE_ENV_VAR = "REPRO_RESULT_STORE"
 
 
 @pytest.fixture(autouse=True)
@@ -105,18 +107,24 @@ class TestTraceAndMetricsFlags:
 
 
 class TestCacheAndStoreFlags:
-    """The global --no-cache/--store/--no-store flags reach the engine."""
+    """The global --no-cache flag reaches the engine; the retired
+    --store/--no-store flags and REPRO_RESULT_STORE only warn."""
 
     RUN = ["run", "--workload", "resnet50", "--array", "32x32"]
 
     @pytest.fixture(autouse=True)
     def _pristine_memo(self, monkeypatch):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
-        deactivate()
         cache.reset()
         yield
-        deactivate()
         cache.reset()
+
+    def _run(self, capsys, *flags):
+        cache.reset()
+        assert main([*flags, *self.RUN]) == 0
+        out, err = capsys.readouterr()
+        warnings = [line for line in err.splitlines() if line.startswith("WARNING")]
+        return out, warnings
 
     def _counters(self, path, *flags):
         obs.reset()
@@ -130,29 +138,26 @@ class TestCacheAndStoreFlags:
         counters = self._counters(tmp_path / "on.json")
         assert counters["perf.cache.hits"] > 0
 
-    def test_store_publishes_then_serves_a_fresh_process(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--store", "--no-store"])
+    def test_store_flags_only_warn(self, flag, tmp_path, capsys):
+        plain, quiet = self._run(capsys)
+        assert quiet == []
         store = tmp_path / "store"
-        first = self._counters(tmp_path / "first.json", "--store", str(store))
-        published = list(store.rglob("entries/*/*.json"))
-        assert published and first["store.writes"] == len(published)
-        cold = capsys.readouterr().out
-        cache.reset()  # a new process: empty LRU, same store directory
-        second = self._counters(tmp_path / "second.json", "--store", str(store))
-        assert second["store.hits"] == len(published)
-        assert second.get("store.writes", 0) == 0
-        assert capsys.readouterr().out == cold
+        flags = [flag, str(store)] if flag == "--store" else [flag]
+        out, warnings = self._run(capsys, *flags)
+        assert out == plain
+        assert len(warnings) == 1 and "ignored" in warnings[0]
+        assert not store.exists()
 
-    def test_no_store_overrides_the_environment(self, tmp_path, capsys, monkeypatch):
+    def test_store_environment_only_warns(self, tmp_path, capsys, monkeypatch):
+        plain, _ = self._run(capsys)
         store = tmp_path / "store"
+        store.mkdir()
         monkeypatch.setenv(STORE_ENV_VAR, str(store))
-        assert main(["--no-store", *self.RUN]) == 0
-        assert not list(store.rglob("*.json"))
-        # Without the flag the same run publishes into the inherited store.
-        deactivate()
-        monkeypatch.setenv(STORE_ENV_VAR, str(store))
-        cache.reset()
-        assert main(self.RUN) == 0
-        assert list(store.rglob("entries/*/*.json"))
+        out, warnings = self._run(capsys)
+        assert out == plain
+        assert len(warnings) == 1 and STORE_ENV_VAR in warnings[0]
+        assert list(store.iterdir()) == []
 
 
 class TestStatsCommand:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from repro._version import __version__
-from repro.store.runtime import store_key
+from repro.serve.jobs import job_key
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -114,7 +114,7 @@ def test_engine_imports_no_store_service_robust_or_sweep():
 
 def test_version_comes_from_the_code_not_foreign_metadata(tmp_path):
     # A stale egg-info or older wheel of the same name on the path must
-    # not restamp the running code's store keys, ledgers or journals.
+    # not restamp the running code's job keys, ledgers or journals.
     dist = tmp_path / "repro-0.9.0.dist-info"
     dist.mkdir()
     (dist / "METADATA").write_text(
@@ -124,7 +124,7 @@ def test_version_comes_from_the_code_not_foreign_metadata(tmp_path):
     assert version.split() == ["scalesim-repro", __version__]
     key = _python(
         "-c",
-        "from repro.store.runtime import store_key; print(store_key(('k',)))",
+        "from repro.serve.jobs import job_key; print(job_key({'kind': 'k'}))",
         extra_path=str(tmp_path),
     ).stdout.strip()
-    assert key == store_key(("k",))
+    assert key == job_key({"kind": "k"})

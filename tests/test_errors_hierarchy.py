@@ -143,10 +143,10 @@ def _raise_storage_error():
 def _raise_store_corruption_error():
     import tempfile
 
-    from repro.store.result_store import ResultStore
+    from repro.store.ledger import SweepLedger
 
     with tempfile.NamedTemporaryFile() as handle:
-        ResultStore(handle.name)
+        SweepLedger(handle.name)
 
 
 def _raise_sweep_error():

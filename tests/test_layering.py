@@ -8,10 +8,13 @@ package, lazy imports inside functions included:
   not the other way round);
 * ``repro.utils`` is the bottom layer and only raises ``repro.errors``;
 * ``repro.store`` never reaches up into the layers that drive it;
+* ``repro.perf`` (the engine's memo seam and the sweep compiler) knows
+  nothing of the store, the service, sweeps or the CLI: memoized layers
+  live in the process-wide LRU only;
 * ``repro.engine`` knows nothing of the store, the service, sweeps, the
-  CLI, the experiments or the verifier: results reach the store through
-  the one memo seam in :mod:`repro.perf.cache`.  ``repro.robust`` is not
-  banned there, because ``simulate(verify=True)`` lazily imports
+  CLI, the experiments or the verifier: it memoizes through the one
+  seam in :mod:`repro.perf.cache`.  ``repro.robust`` is not banned
+  there, because ``simulate(verify=True)`` lazily imports
   ``repro.robust.invariants`` to cross-check its own result; only a
   caller that asks for that check pays the import.
 """
@@ -34,6 +37,7 @@ FORBIDDEN = {
         "repro.store", "repro.serve", "repro.sweep", "repro.cli",
         "repro.experiments", "repro.verify",
     ),
+    "repro.perf": ("repro.store", "repro.serve", "repro.sweep", "repro.cli"),
 }
 
 #: The only package ``repro.utils`` may import.
@@ -90,6 +94,6 @@ def test_utils_imports_only_errors():
 
 def test_edges_are_found():
     # Guard the walker itself: a lazy import inside a function counts.
-    assert ("repro.store.runtime", "repro._version") in set(
+    assert ("repro.store.ledger", "repro.analytical.search") in set(
         _edges("repro.store")
     )

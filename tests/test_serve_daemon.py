@@ -27,14 +27,6 @@ from repro.serve.daemon import (
     make_server,
 )
 from repro.serve.jobs import job_key, normalize_request
-from repro.store.runtime import configure as store_configure, deactivate
-
-
-@pytest.fixture(autouse=True)
-def no_inherited_store():
-    deactivate()
-    yield
-    deactivate()
 
 
 def gemm(m: int) -> dict:
@@ -228,22 +220,15 @@ def test_health_reports_policy_and_counters():
         "workers": 1, "max_queue": 2, "client_quota": 3, "request_timeout": None,
     }
     assert health["jobs_in_flight"] == 0
-    assert health["store"] is None  # no store configured in this test
     service.drain(timeout=5)
 
 
-def test_health_reports_version_uptime_and_store_degradation(tmp_path):
+def test_health_reports_version_and_uptime_but_no_store():
     service = SimulationService(ServicePolicy(workers=1))
     health = service.health()
     assert health["version"] == __version__
     assert health["uptime"] >= 0
-    assert health["degraded_store"] is False
-
-    store = store_configure(tmp_path / "store")
-    store.degraded_reason = "disk full (test)"
-    degraded = service.health()
-    assert degraded["degraded_store"] is True
-    assert degraded["status"] == "degraded"
+    assert "store" not in health and "degraded_store" not in health
     service.drain(timeout=5)
 
 
@@ -256,17 +241,16 @@ def tracing():
     from repro.perf.cache import cache
 
     obs.reset()
-    cache.reset()  # a warm layer cache would skip the store.probe span
+    cache.reset()
     obs.trace.enable()
     yield obs.trace
     obs.reset()
     cache.reset()
 
 
-def test_submit_round_trip_is_one_correlated_trace(tmp_path, tracing):
-    """The acceptance criterion: queue-wait, execution and store
+def test_submit_round_trip_is_one_correlated_trace(tracing):
+    """The acceptance criterion: queue-wait, execution and engine
     segments of one submit all share a single correlation ID."""
-    store_configure(tmp_path / "store")
     service = SimulationService(ServicePolicy(workers=1))
     status, body = service.submit(gemm(16))
     assert status == 200
@@ -275,7 +259,7 @@ def test_submit_round_trip_is_one_correlated_trace(tmp_path, tracing):
 
     spans = {record.name: record for record in tracing.records()}
     for name in ("serve.request", "serve.queue_wait", "serve.execute",
-                 "store.probe", "store.record"):
+                 "engine.run_gemm"):
         assert name in spans, f"missing span {name}"
         assert spans[name].args.get(CORRELATION_KEY) == cid, name
     # queue-wait is synthesized before execution but must nest within

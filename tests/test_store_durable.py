@@ -1,12 +1,10 @@
 """fsync budget of every durable write path.
 
-The result store, the sweep ledger and the checkpoint journal share one
-set of file primitives (``repro.utils.atomicio``) and one bookkeeping
-helper (``repro.store.durable``).  fsync is a leading cost of every
-durable write, so no count may grow; and each journal fsync is what
-makes a returned call durable, so none of those may shrink.  A result
-store put makes none: the store is a recomputable cache, and a record a
-power loss damages reads as a checksummed miss.
+The sweep ledger and the checkpoint journal share one set of file
+primitives (``repro.utils.atomicio``); the ledger also keeps its
+bookkeeping in ``repro.store.durable``.  fsync is a leading cost of
+every durable write, so no count may grow; and each journal fsync is
+what makes a returned call durable, so none of those may shrink.
 """
 
 from __future__ import annotations
@@ -17,10 +15,6 @@ import pytest
 
 from repro.robust.checkpoint import CheckpointStore
 from repro.store.ledger import SweepLedger
-from repro.store.result_store import ResultStore
-
-KEY = "0123456789abcdef"
-PAYLOAD = {"cycles": 123, "rows": [1, 2, 3]}
 
 
 @pytest.fixture
@@ -41,15 +35,6 @@ def record(journal, index):
     return journal.record(
         {"partitions": index}, "ok", rows=[{"partitions": index, "cycles": index}]
     )
-
-
-def test_result_store_put_and_get(tmp_path, fsyncs):
-    store = ResultStore(tmp_path / "store")
-    assert fsyncs == []
-    assert store.put(KEY, PAYLOAD)
-    assert fsyncs == []  # atomic rename only: the store is a cache
-    assert store.get(KEY) == PAYLOAD
-    assert fsyncs == []
 
 
 def test_ledger_open_record_and_seal(tmp_path, fsyncs):
