@@ -1,21 +1,25 @@
 #!/usr/bin/env python
-"""Ledger smoke test: the columnar sweep ledger survives its three enemies.
+"""Ledger smoke test: the sweep ledger's journal survives its enemies.
 
-Three drills, each one fatal to a naive results file:
+A sweep ledger is a directory holding one checkpoint journal, each line
+fsynced and carrying a SHA-256 of its own text.  Four drills, each one
+fatal to a naive results file:
 
-1. **Torn write.**  A child process sweeps with
-   ``REPRO_LEDGER_CRASH_POINT=mid-segment-publish`` armed and is killed
-   mid-publish, leaving a half-written segment at the final path.  The
-   reopen must quarantine the torn file, serve every completed point
-   from the fsynced active journal, and an incremental re-sweep must
-   finish the grid without re-simulating survivors.
+1. **kill -9.**  A child process sweeps into a ledger and dies with
+   ``os._exit(137)`` at its third point.  A reopen must serve the two
+   fsynced points, and an incremental re-sweep must finish the grid
+   without re-simulating them.
 2. **Config-hash change.**  Extending the grid re-simulates only the
    new points; bumping the ledger version (the stand-in for a package
    or config change) invalidates everything and re-simulates the full
    grid — exactly the incremental re-sweep contract.
-3. **ENOSPC.**  Segment publishes start failing with "no space left on
-   device" mid-sweep.  The ledger degrades to journal-only mode, the
-   sweep still completes, and a cold reopen recovers every point.
+3. **Bit flip.**  One digit of one journal line flips.  The line fails
+   its checksum and is dropped, exactly its point re-simulates, and the
+   re-swept rows equal the originals.
+4. **ENOSPC.**  Journal appends start failing with "no space left on
+   device" mid-sweep.  The sweep fails with ``CheckpointError`` instead
+   of pretending to be resumable, and a cold reopen recovers every point
+   appended before the failure.
 
 Run:  PYTHONPATH=src python examples/ledger_smoke.py
 Exits non-zero if any drill fails, so CI can gate on it.
@@ -31,9 +35,8 @@ from pathlib import Path
 
 import repro
 from repro import SweepLedger, run_sweep
-from repro.errors import StorageError
-from repro.store import ledger as ledger_module
-from repro.store.ledger import CRASH_POINT_ENV, MODE_JOURNAL
+from repro.errors import CheckpointError
+from repro.robust import checkpoint as checkpoint_module
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -47,18 +50,30 @@ def measure(partitions: int) -> dict:
     }
 
 
-TORN_CHILD = textwrap.dedent(
+def counting(calls):
+    def measured(partitions):
+        calls.append(partitions)
+        return measure(partitions)
+    return measured
+
+
+KILLED_CHILD = textwrap.dedent(
     """
-    import sys
+    import os, sys
     from repro import SweepLedger, run_sweep
 
+    measured = []
+
     def measure(partitions):
+        measured.append(partitions)
+        if len(measured) == 3:
+            os._exit(137)
         return {
             "cycles": 1000 * partitions + 17,
             "avg_bw": round(partitions / 3.0, 3),
         }
 
-    ledger = SweepLedger(sys.argv[1], version="smoke", segment_entries=3)
+    ledger = SweepLedger(sys.argv[1], version="smoke")
     run_sweep(measure, ledger=ledger, incremental=True,
               partitions=[1, 2, 4, 8, 16, 32])
     print("survived")
@@ -66,61 +81,49 @@ TORN_CHILD = textwrap.dedent(
 )
 
 
-def drill_torn_write(scratch: Path) -> None:
-    root = scratch / "torn"
-    env = {**os.environ, CRASH_POINT_ENV: "mid-segment-publish", "PYTHONPATH": SRC}
+def drill_kill9(scratch: Path) -> None:
+    root = scratch / "killed"
     result = subprocess.run(
-        [sys.executable, "-c", TORN_CHILD, str(root)],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", KILLED_CHILD, str(root)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 137, (result.returncode, result.stderr)
     assert "survived" not in result.stdout
 
-    ledger = SweepLedger(root, version="smoke", segment_entries=3)
-    assert len(ledger.quarantined()) == 1, ledger.status()
+    ledger = SweepLedger(root, version="smoke")
     survivors = [p for p in GRID if ledger.completed({"partitions": p})]
-    assert survivors, "active journal lost the completed points"
+    assert survivors == GRID[:2], f"fsynced points lost: {survivors}"
 
     calls = []
-
-    def counting(partitions):
-        calls.append(partitions)
-        return measure(partitions)
-
-    run_sweep(counting, ledger=ledger, incremental=True, partitions=GRID)
-    assert sorted(calls) == [p for p in GRID if p not in survivors], calls
+    run_sweep(counting(calls), ledger=ledger, incremental=True, partitions=GRID)
+    assert calls == GRID[2:], calls
     assert ledger.completed_count == len(GRID)
     for p in GRID:
         assert ledger.get({"partitions": p})["rows"] == [
             {"partitions": p, **measure(p)}
         ]
-    ledger.close()
     print(
-        f"torn write: kill -9 mid-publish, {len(survivors)} point(s) survived, "
-        f"{len(calls)} re-simulated, 1 segment quarantined"
+        f"kill -9: child died at point 3, {len(survivors)} point(s) survived, "
+        f"{len(calls)} re-simulated"
     )
 
 
 def drill_incremental(scratch: Path) -> None:
     root = scratch / "incremental"
     calls = []
-
-    def counting(partitions):
-        calls.append(partitions)
-        return measure(partitions)
-
-    with SweepLedger(root, version="config-v1") as ledger:
-        run_sweep(counting, ledger=ledger, incremental=True, partitions=GRID[:4])
+    run_sweep(counting(calls), ledger=SweepLedger(root, version="config-v1"),
+              incremental=True, partitions=GRID[:4])
     assert calls == GRID[:4]
 
     calls.clear()
-    with SweepLedger(root, version="config-v1") as ledger:
-        run_sweep(counting, ledger=ledger, incremental=True, partitions=GRID)
+    run_sweep(counting(calls), ledger=SweepLedger(root, version="config-v1"),
+              incremental=True, partitions=GRID)
     assert calls == GRID[4:], f"grid extension re-simulated {calls}"
 
     calls.clear()
-    with SweepLedger(root, version="config-v2") as ledger:
-        run_sweep(counting, ledger=ledger, incremental=True, partitions=GRID)
+    run_sweep(counting(calls), ledger=SweepLedger(root, version="config-v2"),
+              incremental=True, partitions=GRID)
     assert calls == GRID, f"version bump should invalidate everything, got {calls}"
     print(
         f"incremental: grid extension re-ran {len(GRID) - 4}/{len(GRID)} points, "
@@ -128,36 +131,58 @@ def drill_incremental(scratch: Path) -> None:
     )
 
 
+def drill_bit_flip(scratch: Path) -> None:
+    root = scratch / "flipped"
+    before = run_sweep(measure, ledger=SweepLedger(root, version="smoke"),
+                       incremental=True, partitions=GRID)
+    journal = root / "journal.jsonl"
+    raw = bytearray(journal.read_bytes())
+    raw[raw.index(b'"cycles": 8017') + len(b'"cycles": 8017') - 1] ^= 0x01
+    journal.write_bytes(bytes(raw))  # 8017 -> 8016: still valid JSON
+
+    calls = []
+    after = run_sweep(counting(calls), ledger=SweepLedger(root, version="smoke"),
+                      incremental=True, partitions=GRID)
+    assert calls == [8], f"a flipped digit should re-simulate point 8, got {calls}"
+    assert after == before, "re-swept rows differ from the originals"
+    print("bit flip: the damaged line was dropped, 1/6 point re-simulated")
+
+
 def drill_enospc(scratch: Path) -> None:
     root = scratch / "enospc"
-    original = ledger_module.atomic_write_bytes
+    real_append = checkpoint_module.append_line
+    appended = []
 
-    def full_disk(path, payload):
-        raise StorageError(errno.ENOSPC, "No space left on device")
+    def full_disk(path, line):
+        appended.append(line)
+        if len(appended) >= 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_append(path, line)
 
-    ledger_module.atomic_write_bytes = full_disk
+    checkpoint_module.append_line = full_disk
     try:
-        with SweepLedger(root, version="smoke", segment_entries=3) as ledger:
-            rows = run_sweep(measure, ledger=ledger, incremental=True,
-                             partitions=GRID)
-            assert len(rows) == len(GRID)
-            status = ledger.status()
-            assert status["mode"] == MODE_JOURNAL, status
+        run_sweep(measure, ledger=SweepLedger(root, version="smoke"),
+                  incremental=True, partitions=GRID)
+    except CheckpointError as exc:
+        assert "No space left on device" in str(exc), exc
+    else:
+        raise AssertionError("a sweep that cannot journal must fail")
     finally:
-        ledger_module.atomic_write_bytes = original
+        checkpoint_module.append_line = real_append
 
-    with SweepLedger(root, version="smoke") as reopened:
-        assert reopened.completed_count == len(GRID), reopened.status()
+    reopened = SweepLedger(root, version="smoke")
+    assert reopened.completed_count == 2, len(reopened)
     print(
-        f"enospc: degraded to {MODE_JOURNAL} mode, sweep completed "
-        f"{len(GRID)}/{len(GRID)}, cold reopen recovered every point"
+        "enospc: the sweep failed with CheckpointError, a cold reopen "
+        "recovered both points appended before the disk filled"
     )
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ledger-smoke-") as scratch:
-        drill_torn_write(Path(scratch))
+        drill_kill9(Path(scratch))
         drill_incremental(Path(scratch))
+        drill_bit_flip(Path(scratch))
         drill_enospc(Path(scratch))
     print("ledger smoke: all drills passed")
     return 0

@@ -73,8 +73,10 @@ _API = {
     "repro.workloads.language": ("language_layer", "language_models"),
     "repro.workloads.resnet50": ("resnet50",),
     # tooling
-    "repro.sweep": ("run_sweep", "run_sweep_report", "sweep_to_csv", "pivot_to_csv"),
-    "repro.store.ledger": ("SweepLedger", "LedgerDiff"),
+    "repro.sweep": (
+        "run_sweep", "run_sweep_report", "sweep_to_csv", "pivot_to_csv",
+        "SweepLedger", "LedgerDiff",
+    ),
     "repro.traceanalysis.reuse": ("reuse_profile",),
     "repro.traceanalysis.streams": ("stream_stats",),
     # observability
@@ -94,7 +96,7 @@ _API = {
         "ReproError", "ConfigError", "TopologyError", "MappingError",
         "SimulationError", "SearchError", "DramError", "ExecutionError",
         "PointTimeoutError", "CircuitOpenError", "SweepError", "CheckpointError",
-        "StorageError", "LedgerCorruptionError", "InvariantError", "ResilienceError",
+        "StorageError", "InvariantError", "ResilienceError",
     ),
     "repro._version": ("__version__",),
 }

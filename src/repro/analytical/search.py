@@ -241,10 +241,10 @@ def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:
 
     A row is kept when no other row is at least as good on every
     objective and strictly better on one.  Objectives to *maximize*
-    should be negated by the caller (as
-    :meth:`repro.store.ledger.SweepLedger.pareto` does over its
-    zero-copy columns).  Duplicate rows all survive — dominance is
-    strict — and order is ascending, so results are deterministic.
+    should be negated by the caller; ``repro stats --ledger --pareto``
+    minimizes the named columns of a sweep ledger's rows with it.
+    Duplicate rows all survive — dominance is strict — and order is
+    ascending, so results are deterministic.
     """
     matrix = np.asarray(points, dtype=float)
     if matrix.ndim != 2:

@@ -42,7 +42,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro._version import __version__
@@ -88,9 +88,9 @@ if TYPE_CHECKING:  # pragma: no cover - hint-only imports
 #: sweep ran but is incomplete" from "the sweep aborted".
 EXIT_INCOMPLETE = 12
 
-#: A durable write could not complete (``ENOSPC``/``EIO``/vanished
-#: directory — :class:`~repro.errors.StorageError`) and no layer above
-#: could degrade gracefully around it.
+#: An atomic whole-file write could not complete (``ENOSPC``/``EIO``/
+#: vanished directory — :class:`~repro.errors.StorageError`).  Journal
+#: appends fail as checkpoint errors (exit 8) instead.
 EXIT_STORAGE = 14
 
 #: The ``repro.serve`` daemon/client layer failed: the daemon cannot
@@ -127,7 +127,8 @@ EXIT_PERF_REGRESSION = 17
 #: 5     unmappable workload (``MappingError``)
 #: 6     invalid search space (``SearchError``)
 #: 7     DRAM back-end error (``DramError``)
-#: 8     checkpoint journal error (``CheckpointError``)
+#: 8     checkpoint journal or sweep ledger error (``CheckpointError``,
+#:       storage failures such as ENOSPC/EIO included)
 #: 9     invariant violation (``InvariantError``)
 #: 10    batch execution failure (``ExecutionError`` and subclasses
 #:       without their own code)
@@ -135,11 +136,7 @@ EXIT_PERF_REGRESSION = 17
 #: 12    incomplete sweep (breaker trip, skips, or SIGINT —
 #:       ``KeyboardInterrupt``)
 #: 14    durable write failure (``StorageError``: ENOSPC, EIO, a
-#:       vanished directory) that nothing above could degrade around.
-#:       The sweep ledger shares this code: corrupt sealed segments
-#:       never exit — they quarantine and re-simulate — so 14 from a
-#:       ``--ledger`` run means the ledger *directory itself* could
-#:       not be created or opened
+#:       vanished directory) of an atomically replaced file
 #: 15    simulation service failure (``ServiceError``: daemon cannot
 #:       bind, unreachable, server-side job error, or exhausted
 #:       back-pressure retries)
@@ -269,8 +266,7 @@ def _sweep_ledger(args: argparse.Namespace):
         )
     if not ledger_dir:
         return None
-    from repro.store.ledger import SweepLedger
-    from repro.sweep import sweep_ledger_version
+    from repro.sweep import SweepLedger, sweep_ledger_version
 
     # Scope the keys to the full simulation identity, not just the
     # partition counts, so unrelated sweeps can share one ledger.
@@ -499,8 +495,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"# incremental re-sweep: {diff.describe()}")
     print("partitions  array       cycles      avg_bw(B/cyc)  peak_bw(B/cyc)")
     if not counts:
-        if ledger is not None:
-            ledger.close()
         return 0
 
     # Analytical pruning is opt-in (--top-k/--prune-band) and --exact
@@ -510,26 +504,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         not args.exact
         and (args.top_k is not None or args.prune_band is not None)
     )
-    try:
-        rows, report = run_sweep_report(
-            functools.partial(sweep_measure, layer=layer, macs=args.macs),
-            policy=_robust_policy(args),
-            checkpoint=_robust_checkpoint(args),
-            estimator=(
-                functools.partial(sweep_estimate, layer=layer, macs=args.macs)
-                if pruning
-                else None
-            ),
-            top_k=args.top_k,
-            prune_band=args.prune_band,
-            exact=args.exact,
-            ledger=ledger,
-            incremental=incremental,
-            partitions=counts,
-        )
-    finally:
-        if ledger is not None:
-            ledger.close()
+    rows, report = run_sweep_report(
+        functools.partial(sweep_measure, layer=layer, macs=args.macs),
+        policy=_robust_policy(args),
+        checkpoint=_robust_checkpoint(args),
+        estimator=(
+            functools.partial(sweep_estimate, layer=layer, macs=args.macs)
+            if pruning
+            else None
+        ),
+        top_k=args.top_k,
+        prune_band=args.prune_band,
+        exact=args.exact,
+        ledger=ledger,
+        incremental=incremental,
+        partitions=counts,
+    )
     for row in rows:
         status = row.get("status")
         if status and status != "estimated":
@@ -667,53 +657,70 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``stats --ledger --group-by KEY,VALUE,AGG`` reductions.
+_AGGREGATES = {
+    "min": min,
+    "max": max,
+    "sum": sum,
+    "mean": lambda values: sum(values) / len(values),
+    "count": len,
+}
+
+
+def _number(value: object) -> Optional[float]:
+    """``value`` as a float, or ``None`` for a missing/non-numeric cell."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return None if value != value else float(value)  # NaN is missing too
+
+
 def _stats_ledger(args: argparse.Namespace) -> int:
-    """Health + column-query summary of a columnar sweep ledger."""
-    from repro.store.ledger import SweepLedger
+    """Entry counts, group-by and pareto front of a sweep ledger's rows."""
+    from repro.sweep import SweepLedger
 
     if not Path(args.ledger).is_dir():
         raise ConfigError(f"no such ledger directory: {args.ledger}")
-    ledger = SweepLedger(args.ledger, writable=False)
-    try:
-        status = ledger.status()
-        print(f"# ledger {status['root']} (version {status['version']})")
-        print(f"mode       {status['mode']}"
-              + (f"  ({status['degraded_reason']})"
-                 if status["degraded_reason"] else ""))
-        print(f"entries    {status['entries']} "
-              f"({status['completed']} completed, {status['pending']} unsealed)")
-        print(f"segments   {status['segments']} sealed, "
-              f"{status['corrupt']} quarantined")
-        if status["corrupt"]:
-            for path in ledger.quarantined():
-                print(f"  corrupt: {path.name}")
-        if args.group_by:
-            parts = [p.strip() for p in args.group_by.split(",")]
-            if len(parts) not in (2, 3):
-                raise ConfigError(
-                    f"--group-by wants KEY,VALUE[,AGG], got {args.group_by!r}"
-                )
-            agg = parts[2] if len(parts) == 3 else "min"
-            try:
-                groups = ledger.group_by(parts[0], parts[1], agg=agg)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            print(f"# {agg}({parts[1]}) by {parts[0]}")
-            for group in sorted(groups, key=repr):
-                print(f"  {group!r:16}  {groups[group]}")
-        if args.pareto:
-            names = [n.strip() for n in args.pareto.split(",") if n.strip()]
-            try:
-                front = ledger.pareto(minimize=names)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            print(f"# pareto front minimizing ({', '.join(names)}): "
-                  f"{len(front)} row(s)")
-            for row in front:
-                cells = ", ".join(f"{name}={row.get(name)}" for name in names)
-                print(f"  {cells}")
-    finally:
-        ledger.close()
+    ledger = SweepLedger(args.ledger)
+    print(f"# ledger {ledger.root} (version {ledger.version})")
+    print(f"entries    {len(ledger)} ({ledger.completed_count} completed)")
+    rows = ledger.rows()
+    if args.group_by:
+        parts = [p.strip() for p in args.group_by.split(",")]
+        if len(parts) not in (2, 3):
+            raise ConfigError(
+                f"--group-by wants KEY,VALUE[,AGG], got {args.group_by!r}"
+            )
+        agg = parts[2] if len(parts) == 3 else "min"
+        if agg not in _AGGREGATES:
+            raise ConfigError(
+                f"unknown aggregate {agg!r}; pick one of {sorted(_AGGREGATES)}"
+            )
+        cells: Dict[object, List[float]] = {}
+        for row in rows:
+            value = _number(row.get(parts[1]))
+            if row.get(parts[0]) is not None and value is not None:
+                cells.setdefault(row[parts[0]], []).append(value)
+        print(f"# {agg}({parts[1]}) by {parts[0]}")
+        for group in sorted(cells, key=repr):
+            print(f"  {group!r:16}  {_AGGREGATES[agg](cells[group])}")
+    if args.pareto:
+        from repro.analytical.search import pareto_front
+
+        names = [n.strip() for n in args.pareto.split(",") if n.strip()]
+        if not names:
+            raise ConfigError("pareto needs at least one objective column")
+        candidates = [
+            (row, [_number(row.get(name)) for name in names]) for row in rows
+        ]
+        candidates = [(row, point) for row, point in candidates if None not in point]
+        front = (
+            pareto_front([point for _, point in candidates]) if candidates else []
+        )
+        print(f"# pareto front minimizing ({', '.join(names)}): "
+              f"{len(front)} row(s)")
+        for index in front:
+            row = candidates[index][0]
+            print("  " + ", ".join(f"{name}={row.get(name)}" for name in names))
     return 0
 
 
@@ -997,13 +1004,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # /metrics exposition needs live counters/histograms regardless of
     # whether a --metrics snapshot sink was requested
     obs.metrics.enable()
-    if args.ledger:
-        # The job layer opens the ledger lazily per sweep execution, so
-        # the daemon only pays for it when sweep jobs actually arrive.
-        from repro.serve.jobs import SWEEP_LEDGER_ENV
-
-        os.environ[SWEEP_LEDGER_ENV] = args.ledger
-    service = SimulationService(policy)
+    service = SimulationService(policy, ledger=args.ledger)
     server = make_server(
         service, host=args.host, port=args.port, socket_path=args.socket
     )
@@ -1175,14 +1176,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--ledger", metavar="DIR",
-        help="durable columnar sweep ledger directory: every finished "
-             "point is journalled crash-safely and sealed into "
-             "checksummed segments (see docs/robustness.md)",
+        help="sweep ledger directory: every finished point is appended, "
+             "fsynced and checksummed, to DIR/journal.jsonl "
+             "(see docs/robustness.md)",
     )
     sweep.add_argument(
         "--incremental", action="store_true",
         help="with --ledger: reuse completed ledger points and simulate "
-             "only new, changed or quarantined ones",
+             "only new, changed or damaged ones",
     )
     _add_robust_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -1212,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resweep.add_argument(
         "--ledger", metavar="DIR", required=True,
-        help="the columnar sweep ledger directory to diff the grid against",
+        help="the sweep ledger directory to diff the grid against",
     )
     _add_robust_flags(resweep)
     resweep.set_defaults(func=_cmd_resweep)
@@ -1334,8 +1335,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--ledger", metavar="DIR",
-        help="summarize a columnar sweep ledger instead (health, "
-             "segments, quarantined corruption)",
+        help="summarize a sweep ledger directory instead (entry "
+             "counts, plus --group-by and --pareto over its rows)",
     )
     stats.add_argument(
         "--group-by", dest="group_by", metavar="KEY,VALUE[,AGG]",
@@ -1403,8 +1404,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=30.0, metavar="SECONDS",
                        help="SIGTERM drain budget for in-flight jobs (default 30)")
     serve.add_argument("--ledger", metavar="DIR",
-                       help="sink sweep jobs into this columnar ledger and "
-                            "reuse completed points across requests")
+                       help="journal sweep jobs into this sweep ledger "
+                            "directory and reuse completed points across "
+                            "requests")
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(

@@ -58,31 +58,16 @@ class SweepError(ExecutionError, ValueError):
 
 
 class CheckpointError(ReproError):
-    """Raised for unreadable, conflicting or misused checkpoint journals."""
+    """Raised for unreadable, conflicting or misused checkpoint journals
+    and sweep ledgers, and when a journal line cannot be appended
+    (``ENOSPC``, ``EIO``)."""
 
 
 class StorageError(ReproError, OSError):
-    """Raised when a durable write cannot complete (``ENOSPC``, ``EIO``,
-    vanished directories).  Subclasses ``OSError`` so existing callers
+    """Raised when an atomic whole-file write cannot complete
+    (``ENOSPC``, ``EIO``, vanished directories).  Subclasses ``OSError`` so existing callers
     that guard filesystem writes with ``except OSError`` keep working,
     while carrying the library's typed exit-code contract."""
-
-
-class StoreCorruptionError(StorageError):
-    """Raised when a sweep ledger directory itself (not one segment) is
-    unusable: the root is not a directory, the layout cannot be
-    created, the unsealed journal cannot be read, or a read-only open
-    is asked to record.  Corrupt segments never raise — they are
-    quarantined and their points re-simulated transparently."""
-
-
-class LedgerCorruptionError(StorageError):
-    """Raised when a columnar sweep-ledger segment fails validation:
-    bad magic, truncated payload, checksum mismatch, or an inconsistent
-    header.  The ledger catches this internally — corrupt segments are
-    quarantined to ``corrupt/`` and their grid points marked incomplete
-    so the executor transparently re-simulates them; it only escapes to
-    callers opening a segment file directly."""
 
 
 class ServiceError(ReproError):

@@ -110,49 +110,12 @@ def _bench_sweep_compiler() -> None:
         simulate_candidates(layer, space, [space.best_index()])
 
 
-def _bench_sweep_ledger() -> None:
-    """Columnar ledger round-trip: record, seal, reopen, query.
-
-    64 synthetic points through the whole durability pipeline — fsynced
-    active journal, sealed checksummed segments, the recovery scan on
-    reopen, zero-copy column/pareto/group-by reads — in a throwaway
-    directory.  The deterministic ``ledger.*`` counter deltas double as
-    a drift detector on the sealing and recovery paths.
-    """
-    import shutil
-    import tempfile
-
-    from repro.store.ledger import SweepLedger
-
-    root = Path(tempfile.mkdtemp(prefix="repro-bench-ledger-"))
-    try:
-        with SweepLedger(root / "ledger", segment_entries=32) as ledger:
-            for index in range(64):
-                ledger.record(
-                    {"partitions": index},
-                    "ok",
-                    rows=[{
-                        "partitions": index,
-                        "cycles": 1000 + (index * 37) % 101,
-                        "avg_bw": float(index % 7),
-                    }],
-                )
-        with SweepLedger(root / "ledger") as reopened:
-            assert reopened.completed_count == 64
-            reopened.numeric_column("cycles")
-            reopened.pareto(minimize=("cycles", "avg_bw"))
-            reopened.group_by("avg_bw", "cycles", agg="min")
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-
 #: name -> zero-argument callable; deterministic, each well under a second.
 BENCHES: Dict[str, Callable[[], None]] = {
     "gemm_256": _bench_gemm,
     "scaleup_conv": _bench_scaleup_conv,
     "sweep_slice": _bench_sweep_slice,
     "sweep_compiler": _bench_sweep_compiler,
-    "sweep_ledger": _bench_sweep_ledger,
 }
 
 

@@ -1,7 +1,7 @@
 """Crash flight recorder: a bounded ring of recent telemetry, dumped on failure.
 
-Postmortems of interrupted sweeps, ledger corruption, or daemon crashes
-used to require reproducing the failure with ``--trace`` armed.  The
+Postmortems of interrupted sweeps, failed journal writes, or daemon
+crashes used to require reproducing the failure with ``--trace`` armed.  The
 flight recorder removes that step: while armed, it taps the process's
 existing telemetry —
 

@@ -9,21 +9,24 @@ Keys are a stable SHA-256 of the point's parameters *and* a version
 string (defaulting to the package version), so a code upgrade silently
 invalidates stale checkpoints instead of resuming with mismatched
 results.  Each line is fsynced before :meth:`~CheckpointStore.record`
-returns and a torn final line is dropped on load (the durability
-contract is in ``docs/robustness.md``); :meth:`~CheckpointStore.compact`
-atomically rewrites a long-lived journal to its latest useful record
-per key.  The sweep ledger's unsealed tail is a :class:`CheckpointStore`
-too, which makes this class the one writer of point entries.
+returns and ends with a SHA-256 of its own text, so a torn final line
+or a flipped bit is dropped on load and its point re-simulates (the
+durability contract is in ``docs/robustness.md``);
+:meth:`~CheckpointStore.compact` atomically rewrites a long-lived
+journal to its latest useful record per key.  A sweep ledger
+(:class:`repro.sweep.SweepLedger`) is this journal in a directory of
+its own.
 
-Journal line schema::
+Journal line schema (``sha256`` covers the line's text before it)::
 
     {"key": "...", "version": "...", "params": {...},
      "status": "ok" | "failed", "rows": [...], "attempts": N,
-     "duration": seconds, "error": "..." | null}
+     "duration": seconds, "error": "..." | null, "sha256": "..."}
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -31,19 +34,26 @@ from typing import Dict, Iterator, List, Optional, Protocol, Union
 
 from repro._version import __version__
 from repro.errors import CheckpointError
-from repro.utils.atomicio import append_line, atomic_write_text, iter_json_lines
+from repro.utils.atomicio import append_line, atomic_write_text
 
 logger = logging.getLogger("repro.robust.checkpoint")
+
+#: The last field of every journal line: a SHA-256 of the text before it.
+_CHECKSUM = b', "sha256": "'
+#: Where that hex digest sits in a line: before the closing ``"}``.
+_DIGEST = slice(-66, -2)
+#: Where the checksum field starts, counted from the end of a line.
+_FIELD_START = _DIGEST.start - len(_CHECKSUM)
 
 
 class PointJournal(Protocol):
     """What the executor needs from a journal of completed grid points.
 
-    :class:`CheckpointStore` is the JSONL reference implementation;
-    :class:`repro.store.ledger.SweepLedger` is the durable columnar
-    one.  Anything satisfying this protocol can be passed wherever a
-    ``checkpoint=`` is accepted (``execute_grid``, ``run_sweep``) — the
-    executor only ever keys, reads, tests and records points.
+    :class:`CheckpointStore` implements it, and so does its subclass
+    :class:`repro.sweep.SweepLedger`.  Anything satisfying this protocol
+    can be passed wherever a ``checkpoint=`` is accepted
+    (``execute_grid``, ``run_sweep``) — the executor only ever keys,
+    reads, tests and records points.
     """
 
     version: str
@@ -75,9 +85,40 @@ def point_key(params: Dict, version: str) -> str:
         )
     except TypeError as exc:  # pragma: no cover - default=repr is total
         raise CheckpointError(f"unhashable sweep parameters {params!r}") from exc
-    import hashlib
-
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _journal_line(entry: Dict) -> str:
+    """``entry`` as one journal line, its checksum the last field."""
+    try:
+        # No sort_keys: row dicts must round-trip with their column
+        # order intact so resumed output matches a fresh run.
+        text = json.dumps(entry, default=repr)
+    except TypeError as exc:  # pragma: no cover - default=repr is total
+        raise CheckpointError(f"unserializable checkpoint entry: {exc}") from exc
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return f'{text[:-1]}{_CHECKSUM.decode()}{digest}"}}'
+
+
+def _parse_line(line: bytes) -> Optional[Dict]:
+    """The entry one journal line holds, or ``None`` if the line is
+    torn, not JSON, lacks the checksum or fails it.
+
+    The raw text before the checksum field is hashed as it stands;
+    the entry is never re-serialized to check it.
+    """
+    if not line.endswith(b'"}') or line[_FIELD_START:_DIGEST.start] != _CHECKSUM:
+        return None
+    body = line[:_FIELD_START] + b"}"
+    if hashlib.sha256(body).hexdigest().encode() != line[_DIGEST]:
+        return None
+    try:
+        entry = json.loads(body)
+    except ValueError:
+        return None
+    if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
+        return None
+    return entry
 
 
 class CheckpointStore:
@@ -92,8 +133,6 @@ class CheckpointStore:
         self.path = Path(path)
         self.version = version if version is not None else __version__
         self._entries: Dict[str, Dict] = {}
-        #: Every line this instance loaded or appended, in journal order.
-        self._lines: List[Dict] = []
         if self.path.exists():
             if self.path.is_dir():
                 raise CheckpointError(f"checkpoint path is a directory: {self.path}")
@@ -102,8 +141,7 @@ class CheckpointStore:
                     f"checkpoint {self.path} already exists; pass resume=True "
                     "(CLI: --resume) to continue it, or remove the file"
                 )
-            self._lines = self._read()
-            self._entries = {entry["key"]: entry for entry in self._lines}
+            self._entries = self._read()
             logger.info(
                 "resuming checkpoint %s: %d completed point(s)",
                 self.path, len(self._entries),
@@ -112,25 +150,41 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _read(self) -> List[Dict]:
+    def _read(self) -> Dict[str, Dict]:
+        """The journal's latest entry per key.
+
+        A crash mid-append at worst tears the final line, and a flipped
+        bit fails a line's checksum; either way that line is dropped
+        with a warning and its point re-simulates.
+        """
         try:
-            text = self.path.read_text(encoding="utf-8")
+            lines = self.path.read_bytes().splitlines()
         except FileNotFoundError:
-            return []
+            return {}
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {self.path}: {exc}") from exc
-        return list(iter_json_lines(text, self.path, logger=logger))
+        entries: Dict[str, Dict] = {}
+        for number, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            entry = _parse_line(line)
+            if entry is None:
+                logger.warning(
+                    "journal %s line %d/%d is not an intact journal entry (a "
+                    "crash mid-write truncates the last line, a flipped bit "
+                    "fails its checksum); dropping it, the point will be "
+                    "re-simulated", self.path, number, len(lines),
+                )
+                continue
+            entries[entry["key"]] = entry
+        return entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[Dict]:
         return iter(self._entries.values())
-
-    @property
-    def lines(self) -> List[Dict]:
-        """Entries in journal order, superseded ones included."""
-        return list(self._lines)
 
     def key(self, params: Dict) -> str:
         return point_key(params, self.version)
@@ -151,27 +205,6 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def entry(
-        self,
-        params: Dict,
-        status: str,
-        rows: Optional[List[Dict]] = None,
-        attempts: int = 1,
-        duration: float = 0.0,
-        error: Optional[str] = None,
-    ) -> Dict:
-        """The journal entry for one finished point (not yet written)."""
-        return {
-            "key": self.key(params),
-            "version": self.version,
-            "params": params,
-            "status": status,
-            "rows": rows if rows is not None else [],
-            "attempts": attempts,
-            "duration": duration,
-            "error": error,
-        }
-
     def record(
         self,
         params: Dict,
@@ -181,35 +214,29 @@ class CheckpointStore:
         duration: float = 0.0,
         error: Optional[str] = None,
     ) -> Dict:
-        """Journal one finished point (successful or exhausted)."""
-        return self.append(self.entry(params, status, rows, attempts, duration, error))
+        """Journal one finished point (successful or exhausted).
 
-    def append(self, entry: Dict) -> Dict:
-        """Durably append one :meth:`entry` (fsynced before returning)."""
+        The line is fsynced before this returns; a storage failure
+        (``ENOSPC``, ``EIO``) raises :class:`CheckpointError`.
+        """
+        entry = {
+            "key": self.key(params),
+            "version": self.version,
+            "params": params,
+            "status": status,
+            "rows": rows if rows is not None else [],
+            "attempts": attempts,
+            "duration": duration,
+            "error": error,
+        }
         try:
-            # No sort_keys: row dicts must round-trip with their column
-            # order intact so resumed output matches a fresh run.
-            line = json.dumps(entry, default=repr)
-        except TypeError as exc:  # pragma: no cover - default=repr is total
-            raise CheckpointError(f"unserializable checkpoint entry: {exc}") from exc
-        try:
-            append_line(self.path, line)
+            append_line(self.path, _journal_line(entry))
         except OSError as exc:
             raise CheckpointError(
                 f"cannot append to checkpoint {self.path}: {exc}"
             ) from exc
-        self._lines.append(entry)
         self._entries[entry["key"]] = entry
         return entry
-
-    def _rewrite(self, entries: List[Dict]) -> None:
-        text = "".join(json.dumps(entry, default=repr) + "\n" for entry in entries)
-        try:
-            atomic_write_text(self.path, text)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot rewrite checkpoint {self.path}: {exc}"
-            ) from exc
 
     def compact(self, drop_failed: bool = True) -> int:
         """Rewrite the journal with only the latest record per key.
@@ -224,8 +251,7 @@ class CheckpointStore:
             return 0
         try:
             raw_lines = [
-                line for line in self.path.read_text(encoding="utf-8").splitlines()
-                if line.strip()
+                line for line in self.path.read_bytes().splitlines() if line.strip()
             ]
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {self.path}: {exc}") from exc
@@ -235,24 +261,12 @@ class CheckpointStore:
             for key, entry in self._entries.items()
             if not (drop_failed and entry.get("status") != "ok")
         }
-        self._rewrite(list(keep.values()))
+        text = "".join(_journal_line(entry) + "\n" for entry in keep.values())
+        try:
+            atomic_write_text(self.path, text)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot rewrite checkpoint {self.path}: {exc}"
+            ) from exc
         self._entries = keep
-        self._lines = list(keep.values())
         return len(raw_lines) - len(keep)
-
-    def release(self) -> None:
-        """Drop this instance's lines from the journal and forget them.
-
-        Lines other writers appended since this instance read the file
-        stay, so a journal shared under an external lock (the sweep
-        ledger's tail) loses nothing another process has not sealed.
-        Call under that lock; the rewrite is atomic.
-        """
-        mine = {json.dumps(entry, default=repr) for entry in self._lines}
-        others = [
-            entry for entry in self._read()
-            if json.dumps(entry, default=repr) not in mine
-        ]
-        self._rewrite(others)
-        self._entries = {}
-        self._lines = []

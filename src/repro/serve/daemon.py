@@ -119,10 +119,17 @@ class _Job:
 
 
 class SimulationService:
-    """Transport-independent daemon core; see the module docstring."""
+    """Transport-independent daemon core; see the module docstring.
 
-    def __init__(self, policy: Optional[ServicePolicy] = None):
+    With a ``ledger`` directory, sweep jobs journal their points there
+    and reuse the completed ones (``repro serve --ledger DIR``).
+    """
+
+    def __init__(
+        self, policy: Optional[ServicePolicy] = None, ledger: Optional[str] = None
+    ):
         self.policy = policy or ServicePolicy()
+        self.ledger = ledger
         self.started_unix = time.time()
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.policy.workers, thread_name_prefix="repro-serve"
@@ -294,10 +301,13 @@ class SimulationService:
             )
             if metrics.enabled:
                 metrics.histogram("serve.queue_wait_seconds").observe(wait_ns / 1e9)
+            params = {"request": request}
+            if self.ledger is not None:
+                params["ledger"] = self.ledger
             start = time.perf_counter()
             with trace.span("serve.execute", category="serve", kind=kind, key=key):
                 record = execute_point(
-                    execute_job, {"request": request}, policy=self._exec_policy, key=key
+                    execute_job, params, policy=self._exec_policy, key=key
                 )
             if metrics.enabled:
                 metrics.histogram('serve.job_seconds{kind="%s"}' % kind).observe(
@@ -504,7 +514,7 @@ class UnixHTTPServer(ReproHTTPServer):
 
 
 #: Modules the job kinds execute (``repro.sweep`` comes with the jobs).
-_JOB_PATH = ("repro.engine.simulator", "repro.engine.scaleout", "repro.store.ledger")
+_JOB_PATH = ("repro.engine.simulator", "repro.engine.scaleout")
 
 
 def make_server(

@@ -18,29 +18,27 @@ semantically identical requests; the daemon's single-flight table
 dedups on that property.
 
 Sweep jobs run the same partition sweep as the CLI ``sweep``
-subcommand, :func:`repro.sweep.sweep_measure`.
+subcommand, :func:`repro.sweep.sweep_measure`; a daemon started with
+``--ledger DIR`` passes that directory to :func:`execute_job`, and its
+sweep jobs then reuse the ledger's completed points.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config.hardware import Dataflow
 from repro.config.presets import paper_scaling_config
 from repro.errors import ReproError, ServiceError
 from repro.obs.export import config_hash
-from repro.sweep import run_sweep_report, sweep_ledger_version, sweep_measure
+from repro.sweep import SweepLedger, run_sweep_report, sweep_ledger_version, sweep_measure
 from repro.utils.mathutils import is_power_of_two
 from repro.workloads.language import TABLE_IV_DIMS, language_layer
 from repro.workloads.registry import available_workloads, get_workload
 
 JOB_KINDS = ("gemm", "run", "sweep")
-
-#: When set (``repro serve --ledger DIR``), sweep jobs sink their rows
-#: into this columnar ledger and reuse completed points across requests.
-SWEEP_LEDGER_ENV = "REPRO_SWEEP_LEDGER"
 
 #: One lock per sweep-ledger directory, process-wide like the directory:
 #: two sweeps over one ledger would each re-simulate points the other is
@@ -159,14 +157,18 @@ def job_key(request: Dict) -> str:
     return config_hash({"job": request, "version": __version__})
 
 
-def execute_job(request: Dict) -> Dict:
-    """Run one canonical job and return its JSON-safe result body."""
+def execute_job(request: Dict, ledger: Optional[str] = None) -> Dict:
+    """Run one canonical job and return its JSON-safe result body.
+
+    A sweep job given a ``ledger`` directory journals its points there
+    and reuses the ones already completed.
+    """
     kind = request["kind"]
     if kind == "gemm":
         return _execute_gemm(request)
     if kind == "run":
         return _execute_run(request)
-    return _execute_sweep(request)
+    return _execute_sweep(request, ledger)
 
 
 def _config_for(request: Dict):
@@ -215,26 +217,24 @@ def _ledger_lock(ledger_dir: str) -> threading.Lock:
     return _LEDGER_LOCKS.setdefault(os.path.realpath(ledger_dir), threading.Lock())
 
 
-def _execute_sweep(request: Dict) -> Dict:
+def _execute_sweep(request: Dict, ledger_dir: Optional[str]) -> Dict:
     import functools
 
     layer = _resolve_layer(request["layer"], request["workload"])
     measure = functools.partial(sweep_measure, layer=layer, macs=request["macs"])
     counts = list(request["partitions"])
-    ledger_dir = os.environ.get(SWEEP_LEDGER_ENV)
     if not ledger_dir:
         rows, report = run_sweep_report(measure, partitions=counts)
         return {"rows": rows, "points": len(report.records)}
 
-    from repro.store.ledger import SweepLedger
-
-    # Each job opens (and closes) the ledger under its directory lock:
+    # Each job opens the ledger's journal under its directory lock:
     # reopening keeps the job layer crash-isolated from long-lived
-    # daemon state, and the next job sees every point this one sealed.
+    # daemon state, and the next job sees every point this one recorded.
     version = sweep_ledger_version(
         request["layer"], request["workload"], request["macs"]
     )
-    with _ledger_lock(ledger_dir), SweepLedger(ledger_dir, version=version) as ledger:
+    with _ledger_lock(ledger_dir):
+        ledger = SweepLedger(ledger_dir, version=version)
         diff = ledger.diff_grid([{"partitions": count} for count in counts])
         rows, report = run_sweep_report(
             measure,

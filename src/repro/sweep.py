@@ -23,6 +23,11 @@ journal instead of re-executing them.  :func:`run_sweep_report`
 additionally returns the :class:`~repro.robust.report.RunReport`
 accounting for every grid point.
 
+A sweep ledger (:class:`SweepLedger`) is a directory holding one such
+checkpoint journal that many sweeps share: ``run_sweep(ledger=...)``
+re-simulates every point and journals it, and ``incremental=True``
+first replays the points the ledger already completed.
+
 The module also holds the one sweep the CLI, the daemon and the bench
 suite all run: the Fig. 11 partition sweep of one layer
 (:func:`sweep_measure`, its closed-form twin :func:`sweep_estimate`
@@ -34,19 +39,17 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import SweepError
+from repro.errors import CheckpointError, SweepError
 from repro.obs.progress import ProgressSnapshot
 from repro.robust.checkpoint import CheckpointStore
 from repro.robust.executor import execute_grid
 from repro.robust.policy import ExecutionPolicy
 from repro.robust.report import RunReport
 from repro.utils.atomicio import atomic_write_text
-
-if TYPE_CHECKING:  # pragma: no cover - hint-only import
-    from repro.store.ledger import SweepLedger
 
 
 def grid_points(**grid: Sequence) -> List[Dict]:
@@ -75,6 +78,63 @@ def grid_points(**grid: Sequence) -> List[Dict]:
     ]
 
 
+@dataclass(frozen=True)
+class LedgerDiff:
+    """A requested grid split against a ledger's completed points."""
+
+    reused: List[Dict] = field(default_factory=list)
+    pending: List[Dict] = field(default_factory=list)
+
+    @property
+    def total(self) -> int:
+        return len(self.reused) + len(self.pending)
+
+    def describe(self) -> str:
+        return (
+            f"{len(self.reused)}/{self.total} point(s) reused from the "
+            f"ledger, {len(self.pending)} to simulate"
+        )
+
+
+class SweepLedger(CheckpointStore):
+    """A directory holding one checkpoint journal, ``<root>/journal.jsonl``.
+
+    Opening creates ``root``.  Keys are scoped by ``version`` (the CLI
+    and the daemon pass :func:`sweep_ledger_version`), so one directory
+    holds the points of many sweeps, and a point re-simulates when its
+    layer, workload, MAC budget or the package version changes.
+    """
+
+    def __init__(self, root: Union[str, Path], version: Optional[str] = None):
+        self.root = Path(root)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot create sweep ledger {self.root}: {exc}"
+            ) from exc
+        super().__init__(self.root / "journal.jsonl", version=version)
+
+    def diff_grid(self, points: Sequence[Dict]) -> LedgerDiff:
+        """Split a requested grid into reused and to-simulate points.
+
+        A point is *reused* when its key (params + version) is already
+        completed here; new points, points whose parameters or version
+        changed, and points whose journal line was dropped are pending.
+        """
+        diff = LedgerDiff()
+        for params in points:
+            (diff.reused if self.completed(params) else diff.pending).append(params)
+        return diff
+
+    def rows(self) -> List[Dict]:
+        """The result rows of every completed point, in journal order."""
+        return [
+            row for entry in self if entry.get("status") == "ok"
+            for row in entry.get("rows") or []
+        ]
+
+
 class _FreshLedgerView:
     """A ledger as a write-only journal: records land, nothing replays.
 
@@ -84,7 +144,7 @@ class _FreshLedgerView:
     set from the executor's replay path but forwards every write.
     """
 
-    def __init__(self, ledger: "SweepLedger"):
+    def __init__(self, ledger: SweepLedger):
         self.ledger = ledger
         self.version = ledger.version
 
@@ -128,7 +188,7 @@ def run_sweep_report(
     top_k: Optional[int] = None,
     prune_band: Optional[float] = None,
     exact: bool = False,
-    ledger: Optional[Union[str, Path, "SweepLedger"]] = None,
+    ledger: Optional[Union[str, Path, SweepLedger]] = None,
     incremental: bool = False,
     **grid: Sequence,
 ) -> Tuple[List[Dict], RunReport]:
@@ -158,14 +218,13 @@ def run_sweep_report(
     escape hatch: the estimator is ignored and every point simulates
     byte-identically to a sweep without one.
 
-    ``ledger`` sinks every completed point into a crash-safe columnar
-    :class:`~repro.store.ledger.SweepLedger` (a path opens one) instead
-    of a JSONL checkpoint; with ``incremental=True`` the requested grid
-    is diffed against the ledger first and only new / invalidated /
-    quarantined points simulate — everything already completed under
-    the current parameters and package version replays from the
-    ledger's mmap'd segments.  ``ledger`` and ``checkpoint`` are
-    mutually exclusive (the ledger *is* the journal).
+    ``ledger`` journals every point into a :class:`SweepLedger` (a
+    path opens one); every point re-simulates.  With
+    ``incremental=True`` the points the ledger already completed under
+    the same parameters and version replay from its journal instead,
+    and only new, invalidated or dropped points simulate.  ``ledger``
+    and ``checkpoint`` are mutually exclusive (the ledger *is* a
+    checkpoint journal).
     """
     points = grid_points(**grid)
     if policy is None:
@@ -178,42 +237,31 @@ def run_sweep_report(
         raise ValueError("incremental=True needs a ledger to re-sweep against")
     if isinstance(checkpoint, (str, Path)):
         checkpoint = CheckpointStore(checkpoint)
-    owned_ledger = None
-    if ledger is not None and not hasattr(ledger, "diff_grid"):
-        from repro.store.ledger import SweepLedger
-
-        ledger = owned_ledger = SweepLedger(ledger)
+    if isinstance(ledger, (str, Path)):
+        ledger = SweepLedger(ledger)
     if ledger is not None:
         journal = ledger if incremental else _FreshLedgerView(ledger)
     else:
         journal = checkpoint
-    try:
-        estimates = None
-        if estimator is not None and not exact:
-            from repro.perf.compiler import plan_estimates
+    estimates = None
+    if estimator is not None and not exact:
+        from repro.perf.compiler import plan_estimates
 
-            estimates = plan_estimates(
-                estimator, points, top_k, prune_band, journal=journal
-            )
-        elif top_k is not None or prune_band is not None:
-            if estimator is None and not exact:
-                raise ValueError("top_k/prune_band need an estimator to prune with")
-        report = execute_grid(
-            _checked(fn),
-            points,
-            policy=policy,
-            checkpoint=journal,
-            on_progress=on_progress,
-            estimates=estimates,
+        estimates = plan_estimates(
+            estimator, points, top_k, prune_band, journal=journal
         )
-        return report.rows(), report
-    finally:
-        if ledger is not None:
-            # Seal the tail so results are columnar on disk, not just
-            # journalled; entries are already fsync-durable either way.
-            ledger.flush()
-        if owned_ledger is not None:
-            owned_ledger.close()
+    elif top_k is not None or prune_band is not None:
+        if estimator is None and not exact:
+            raise ValueError("top_k/prune_band need an estimator to prune with")
+    report = execute_grid(
+        _checked(fn),
+        points,
+        policy=policy,
+        checkpoint=journal,
+        on_progress=on_progress,
+        estimates=estimates,
+    )
+    return report.rows(), report
 
 
 def run_sweep(
@@ -225,7 +273,7 @@ def run_sweep(
     top_k: Optional[int] = None,
     prune_band: Optional[float] = None,
     exact: bool = False,
-    ledger: Optional[Union[str, Path, "SweepLedger"]] = None,
+    ledger: Optional[Union[str, Path, SweepLedger]] = None,
     incremental: bool = False,
     **grid: Sequence,
 ) -> List[Dict]:
@@ -237,8 +285,8 @@ def run_sweep(
     aborting the sweep.  ``policy`` and ``checkpoint`` opt in to the
     fault-tolerant machinery (retries, timeouts, resumable journals),
     ``estimator`` / ``top_k`` / ``prune_band`` / ``exact`` to analytical
-    pruning, and ``ledger`` / ``incremental`` to the crash-safe columnar
-    sweep ledger — see :func:`run_sweep_report` for the full contract
+    pruning, and ``ledger`` / ``incremental`` to a :class:`SweepLedger`
+    — see :func:`run_sweep_report` for the full contract
     and the per-point accounting.
     """
     rows, _ = run_sweep_report(

@@ -2,11 +2,8 @@
 
 Whole files are replaced atomically (:func:`atomic_write_bytes`: temp
 file in the destination directory + fsync + ``os.replace``, so a crash
-at any instant leaves the old complete file or the new one); journals
-grow by fsynced lines (:func:`append_line`) read back by
-:func:`iter_json_lines`, which drops the torn final line a crash
-mid-append leaves; :func:`flock` and :func:`move_to_corrupt` are the
-writer lock and the quarantine move of a durable directory.  See
+at any instant leaves the old complete file or the new one), and
+journals grow by fsynced lines (:func:`append_line`).  See
 ``docs/robustness.md`` for the contract built on them.
 
 Medium failures on the whole-file path (``ENOSPC``, ``EIO``, a vanished
@@ -19,17 +16,10 @@ from __future__ import annotations
 
 import errno
 import json
-import logging
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
-
-try:  # pragma: no cover - fcntl is stdlib on POSIX, absent on Windows
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
+from typing import Union
 
 from repro.errors import StorageError
 
@@ -102,8 +92,8 @@ def fsync_directory(path: Union[str, Path]) -> None:
 
     After ``os.replace`` lands a file, the *directory* entry itself may
     still live only in the page cache; a power loss could forget the
-    rename.  The sweep ledger fsyncs its segments directory after each
-    seal so a sealed segment survives anything short of media failure.
+    rename.  The bench history fsyncs its directory after each append,
+    because the history file itself may be new.
     """
     try:
         fd = os.open(str(path), os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
@@ -122,7 +112,7 @@ def append_line(path: Union[str, Path], line: str) -> None:
 
     Once this returns the line survives a crash (and, once the file's
     directory entry is durable, a power loss); a crash *during* the call
-    at worst leaves a torn final line, which :func:`iter_json_lines`
+    at worst leaves a torn final line, which the journal's reader
     drops.  A torn line left by an earlier crash is terminated first,
     so the new line never glues onto it.  ``OSError`` propagates
     unchanged so each journal can apply its own failure policy.
@@ -136,85 +126,3 @@ def append_line(path: Union[str, Path], line: str) -> None:
         handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
-
-
-def iter_json_lines(
-    text: str,
-    source: Union[str, Path],
-    field: str = "key",
-    logger: Optional[logging.Logger] = None,
-) -> Iterator[Dict]:
-    """Yield each line of ``text`` that is a JSON object with a string ``field``.
-
-    A crash mid-append at worst truncates the final line, and unrelated
-    junk must not poison a replay: damaged lines are skipped, and
-    reported to ``logger`` when one is given.  Point journals pass one
-    (the dropped point re-simulates); manifests do not, because their
-    readers reconcile against the files they describe.
-    """
-    lines = text.splitlines()
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            entry = None
-        if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
-            if logger is not None:
-                logger.warning(
-                    "journal %s line %d/%d is not a journal entry (a crash "
-                    "mid-write truncates the last line); dropping it, the "
-                    "point will be re-simulated", source, number, len(lines),
-                )
-            continue
-        yield entry
-
-
-@contextmanager
-def flock(path: Union[str, Path]) -> Iterator[None]:
-    """Hold an exclusive ``flock`` on ``path`` (best effort without fcntl).
-
-    The lock belongs to the open file description, so it serializes
-    threads of one process as well as separate processes — and a holder
-    must not take it again.  If the lock file cannot be opened the body
-    runs unlocked, as on platforms without ``fcntl``.
-    """
-    try:
-        handle = open(path, "a") if fcntl is not None else None
-    except OSError:
-        handle = None
-    if handle is None:
-        yield
-        return
-    with handle:  # closing the only descriptor releases the lock
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        yield
-
-
-def move_to_corrupt(path: Path, corrupt_dir: Path, stem: str) -> Optional[Path]:
-    """Move ``path`` to ``corrupt_dir/<stem>.<n>``, first free ``n``.
-
-    Never raises: if the move fails the file is unlinked so it cannot
-    be re-read, and failing that it is left behind (the next read
-    re-detects it).  Returns where the evidence went, or ``None``.
-    """
-    destination: Optional[Path] = None
-    for attempt in range(100):
-        candidate = corrupt_dir / f"{stem}.{attempt}"
-        if not candidate.exists():
-            destination = candidate
-            break
-    try:
-        corrupt_dir.mkdir(parents=True, exist_ok=True)
-        if destination is None:
-            raise OSError("quarantine namespace exhausted")
-        os.replace(path, destination)
-    except OSError:
-        destination = None
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    return destination

@@ -104,6 +104,22 @@ def test_reproducing_a_table_never_imports_numpy():
     assert _under(imported, "numpy") == []
 
 
+def test_a_resweep_that_reuses_every_point_loads_no_numpy(tmp_path):
+    sweep = ["-m", "repro", "sweep", "--layer", "TF0", "--macs", "65536",
+             "--ledger", str(tmp_path / "ledger")]
+    _python(*sweep)
+    sweep[2] = "resweep"
+    done = _python("-X", "importtime", *sweep)
+    assert "6/6 point(s) reused from the ledger, 0 to simulate" in done.stdout
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "repro.sweep" in imported
+    assert _under(imported, "numpy") == []
+
+
 def test_engine_imports_no_store_service_robust_or_sweep():
     modules = _modules_after("import repro.engine.simulator, repro.engine.scaleout")
     assert "repro.perf.cache" in modules

@@ -16,7 +16,6 @@ from repro.errors import (
     ExecutionError,
     InstrumentKindError,
     InvariantError,
-    LedgerCorruptionError,
     MappingError,
     PerfRegressionError,
     PointTimeoutError,
@@ -27,7 +26,6 @@ from repro.errors import (
     ServiceUnavailableError,
     SimulationError,
     StorageError,
-    StoreCorruptionError,
     SweepError,
     TopologyError,
     VerificationError,
@@ -140,31 +138,10 @@ def _raise_storage_error():
         atomic_write_text(Path(tmp) / "missing" / "entry.json", "{}")
 
 
-def _raise_store_corruption_error():
-    import tempfile
-
-    from repro.store.ledger import SweepLedger
-
-    with tempfile.NamedTemporaryFile() as handle:
-        SweepLedger(handle.name)
-
-
 def _raise_sweep_error():
     from repro.sweep import grid_points
 
     grid_points(macs=4096)  # scalar where a sequence axis is required
-
-
-def _raise_ledger_corruption_error():
-    import tempfile
-    from pathlib import Path
-
-    from repro.store.segment import Segment
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "torn.seg"
-        path.write_bytes(b"RSG1 half a segment")
-        Segment(path)
 
 
 def _raise_service_error():
@@ -231,8 +208,6 @@ DOCUMENTED_SITES = {
     ResilienceError: _raise_resilience_error,
     SweepError: _raise_sweep_error,
     StorageError: _raise_storage_error,
-    LedgerCorruptionError: _raise_ledger_corruption_error,
-    StoreCorruptionError: _raise_store_corruption_error,
     ServiceError: _raise_service_error,
     ServiceUnavailableError: _raise_service_unavailable_error,
     VerificationError: _raise_verification_error,

@@ -4,16 +4,15 @@ Each forbidden edge is checked over every ``import`` statement in the
 package, lazy imports inside functions included:
 
 * ``repro.robust`` sits below the sweep and service layers and knows
-  nothing of the store (the ledger depends on its checkpoint journal,
-  not the other way round);
+  nothing of them (the sweep ledger is a checkpoint journal, not the
+  other way round);
 * ``repro.utils`` is the bottom layer and only raises ``repro.errors``;
-* ``repro.store`` never reaches up into the layers that drive it;
 * ``repro.perf`` (the engine's memo seam and the sweep compiler) knows
-  nothing of the store, the service, sweeps or the CLI: memoized layers
-  live in the process-wide LRU only;
-* ``repro.engine`` knows nothing of the store, the service, sweeps, the
-  CLI, the experiments or the verifier: it memoizes through the one
-  seam in :mod:`repro.perf.cache`.  ``repro.robust`` is not banned
+  nothing of the service, sweeps or the CLI: memoized layers live in
+  the process-wide LRU only;
+* ``repro.engine`` knows nothing of the service, sweeps, the CLI, the
+  experiments or the verifier: it memoizes through the one seam in
+  :mod:`repro.perf.cache`.  ``repro.robust`` is not banned
   there, because ``simulate(verify=True)`` lazily imports
   ``repro.robust.invariants`` to cross-check its own result; only a
   caller that asks for that check pays the import.
@@ -29,15 +28,12 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 FORBIDDEN = {
-    "repro.robust": ("repro.perf", "repro.store", "repro.serve", "repro.sweep"),
-    "repro.store": (
-        "repro.serve", "repro.sweep", "repro.perf", "repro.verify", "repro.cli",
-    ),
+    "repro.robust": ("repro.perf", "repro.serve", "repro.sweep"),
     "repro.engine": (
-        "repro.store", "repro.serve", "repro.sweep", "repro.cli",
-        "repro.experiments", "repro.verify",
+        "repro.serve", "repro.sweep", "repro.cli", "repro.experiments",
+        "repro.verify",
     ),
-    "repro.perf": ("repro.store", "repro.serve", "repro.sweep", "repro.cli"),
+    "repro.perf": ("repro.serve", "repro.sweep", "repro.cli"),
 }
 
 #: The only package ``repro.utils`` may import.
@@ -94,6 +90,6 @@ def test_utils_imports_only_errors():
 
 def test_edges_are_found():
     # Guard the walker itself: a lazy import inside a function counts.
-    assert ("repro.store.ledger", "repro.analytical.search") in set(
-        _edges("repro.store")
+    assert ("repro.engine.scaleout", "repro.robust.invariants") in set(
+        _edges("repro.engine")
     )

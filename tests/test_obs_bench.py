@@ -45,10 +45,7 @@ class TestRunSuite:
         for result in results:
             assert result.wall_time_s > 0
             assert result.counters, f"{result.name} moved no counters"
-            if result.name == "sweep_ledger":  # I/O bench: no simulation
-                assert result.counters.get("ledger.entries", 0) > 0
-            else:
-                assert result.counters.get("sim.cycles", 0) > 0
+            assert result.counters.get("sim.cycles", 0) > 0
 
     def test_counters_are_deterministic_across_runs(self):
         first = run_suite(["gemm_256"], repeats=1)[0]

@@ -1,13 +1,16 @@
 """Unit tests for the JSONL checkpoint journal."""
 
 import contextlib
+import hashlib
 import json
 import logging
+import os
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.robust.checkpoint import CheckpointStore, point_key
+from repro.sweep import SweepLedger
 
 
 @contextlib.contextmanager
@@ -186,3 +189,108 @@ class TestCompact:
         store.compact()
         store.record({"a": 1}, status="ok")
         assert CheckpointStore(path, version="v1").completed({"a": 1})
+
+
+class TestChecksum:
+    def test_each_line_ends_with_the_sha256_of_its_text(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        entry = CheckpointStore(path, version="v1").record(
+            {"a": 1}, status="ok", rows=[{"b": 2, "a": 1}]
+        )
+        line = path.read_text().splitlines()[0]
+        text = json.dumps(entry)
+        assert line == (
+            text[:-1] + f', "sha256": "{hashlib.sha256(text.encode()).hexdigest()}"}}'
+        )
+        assert list(json.loads(line)) == [*entry, "sha256"]  # key order kept
+
+    def test_flipped_bit_drops_the_line_with_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "run.jsonl"
+        store = CheckpointStore(path, version="v1")
+        store.record({"a": 1}, status="ok", rows=[{"x": 424992}])
+        store.record({"a": 2}, status="ok", rows=[{"x": 7}])
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"424992")] ^= 0x01  # still valid JSON: 524992
+        path.write_bytes(bytes(raw))
+
+        with _capture_checkpoint_warnings(caplog) as records:
+            reloaded = CheckpointStore(path, version="v1")
+        assert not reloaded.completed({"a": 1})
+        assert reloaded.get({"a": 2})["rows"] == [{"x": 7}]
+        dropped = [r for r in records if "re-simulated" in r.getMessage()]
+        assert len(dropped) == 1
+        assert "line 1/2" in dropped[0].getMessage()
+
+    def test_line_without_a_checksum_is_dropped(self, tmp_path, caplog):
+        # A journal written before lines carried checksums re-simulates.
+        path = tmp_path / "run.jsonl"
+        entry = {"key": point_key({"a": 1}, "v1"), "version": "v1",
+                 "params": {"a": 1}, "status": "ok", "rows": [], "attempts": 1,
+                 "duration": 0.0, "error": None}
+        path.write_text(json.dumps(entry) + "\n")
+        with _capture_checkpoint_warnings(caplog) as records:
+            reloaded = CheckpointStore(path, version="v1")
+        assert len(reloaded) == 0
+        assert len([r for r in records if "re-simulated" in r.getMessage()]) == 1
+
+    def test_non_utf8_damage_is_dropped_not_raised(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        store = CheckpointStore(path, version="v1")
+        store.record({"a": 1}, status="ok")
+        store.record({"a": 2}, status="ok")
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b'"status"')] ^= 0x80
+        path.write_bytes(bytes(raw))
+        reloaded = CheckpointStore(path, version="v1")
+        assert not reloaded.completed({"a": 1})
+        assert reloaded.completed({"a": 2})
+
+    def test_compact_writes_checksummed_lines(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        store = CheckpointStore(path, version="v1")
+        store.record({"a": 1}, status="ok", rows=[{"x": 1}])
+        before = path.read_bytes()
+        store.record({"a": 2}, status="failed", error="boom")
+        store.compact()
+        assert path.read_bytes() == before
+        assert CheckpointStore(path, version="v1").completed({"a": 1})
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Count ``os.fsync`` calls (file and directory fsyncs alike)."""
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestFsyncBudget:
+    """fsync is a leading cost of every durable write, so no count may
+    grow; and each journal fsync is what makes a returned call durable,
+    so none may shrink."""
+
+    @staticmethod
+    def record(journal, index):
+        return journal.record(
+            {"partitions": index}, "ok", rows=[{"partitions": index, "cycles": index}]
+        )
+
+    def test_ledger_open_and_record(self, tmp_path, fsyncs):
+        ledger = SweepLedger(tmp_path / "led", version="v")
+        assert fsyncs == []
+        self.record(ledger, 0)
+        assert len(fsyncs) == 1  # the journal line
+        del fsyncs[:]
+        SweepLedger(tmp_path / "led", version="v")  # reopen
+        assert fsyncs == []
+
+    def test_checkpoint_record(self, tmp_path, fsyncs):
+        journal = CheckpointStore(tmp_path / "run.jsonl", version="v")
+        self.record(journal, 0)
+        assert len(fsyncs) == 1

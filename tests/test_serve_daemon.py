@@ -103,6 +103,19 @@ def test_submit_runs_a_real_gemm():
     service.drain(timeout=5)
 
 
+def test_the_daemon_hands_its_ledger_to_sweep_jobs(tmp_path):
+    service = SimulationService(ServicePolicy(workers=1), ledger=str(tmp_path / "led"))
+    sweep = {"kind": "sweep", "layer": "GNMT1", "macs": 1024, "partitions": [1, 4]}
+    first = service.submit(sweep)
+    second = service.submit(sweep)
+    service.drain(timeout=5)
+    assert [status for status, _ in (first, second)] == [200, 200]
+    assert first[1]["ledger"] == {"reused": 0, "simulated": 2}
+    assert second[1]["ledger"] == {"reused": 2, "simulated": 0}
+    assert second[1]["rows"] == first[1]["rows"]
+    assert (tmp_path / "led" / "journal.jsonl").is_file()
+
+
 def test_invalid_request_is_a_400_not_an_exception():
     service = SimulationService(ServicePolicy(workers=1))
     for payload in (None, [], {"kind": "nope"}, {"kind": "gemm", "m": -1}):

@@ -8,9 +8,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.serve import jobs
-from repro.serve.jobs import SWEEP_LEDGER_ENV, execute_job, job_key, normalize_request
-from repro.store.ledger import SweepLedger
-from repro.sweep import square_grid, sweep_ledger_version, sweep_measure
+from repro.serve.jobs import execute_job, job_key, normalize_request
+from repro.sweep import SweepLedger, square_grid, sweep_ledger_version, sweep_measure
 from repro.workloads.language import TABLE_IV_DIMS, language_layer
 
 
@@ -81,7 +80,6 @@ def test_execute_sweep_matches_direct_measure():
 def test_concurrent_sweeps_on_one_ledger_price_each_point_once(
     tmp_path, monkeypatch
 ):
-    monkeypatch.setenv(SWEEP_LEDGER_ENV, str(tmp_path / "ledger"))
     calls = []
     overlap = threading.Barrier(2, timeout=1.0)
 
@@ -103,7 +101,7 @@ def test_concurrent_sweeps_on_one_ledger_price_each_point_once(
     bodies = [None, None]
 
     def run(index):
-        bodies[index] = execute_job(requests[index])
+        bodies[index] = execute_job(requests[index], ledger=str(tmp_path / "ledger"))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -115,8 +113,7 @@ def test_concurrent_sweeps_on_one_ledger_price_each_point_once(
     assert sorted(calls) == [1, 4, 16]  # the shared point is priced once
     assert sum(body["ledger"]["simulated"] for body in bodies) == 3
     version = sweep_ledger_version("GNMT1", requests[0]["workload"], 1024)
-    with SweepLedger(tmp_path / "ledger", version=version) as ledger:
-        assert ledger.completed_count == 3
+    assert SweepLedger(tmp_path / "ledger", version=version).completed_count == 3
 
 
 def test_square_grid_prefers_square_factorizations():

@@ -190,8 +190,8 @@ class TestLedgerSweep:
     """run_sweep's ledger/incremental contract (details in
     tests/test_ledger_crash.py; this pins the sweep-facing API)."""
 
-    def test_ledger_path_is_opened_and_sealed(self, tmp_path):
-        from repro.store.ledger import SweepLedger
+    def test_ledger_path_is_opened_and_journalled(self, tmp_path):
+        from repro.sweep import SweepLedger
 
         rows = run_sweep(
             ledger_measure, ledger=tmp_path / "led", partitions=[1, 2, 4]
@@ -199,8 +199,7 @@ class TestLedgerSweep:
         assert len(rows) == 3
         reopened = SweepLedger(tmp_path / "led")
         assert reopened.completed_count == 3
-        assert len(reopened.segments()) == 1  # tail sealed at close
-        reopened.close()
+        assert len((tmp_path / "led" / "journal.jsonl").read_text().splitlines()) == 3
 
     def test_checkpoint_and_ledger_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):

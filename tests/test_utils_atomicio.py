@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.utils.atomicio import (
     atomic_write_json,
     atomic_write_text,
     fsync_directory,
-    iter_json_lines,
 )
 
 
@@ -29,8 +29,6 @@ def test_atomic_write_replaces_contents(tmp_path):
 
 
 def test_atomic_write_json_round_trips(tmp_path):
-    import json
-
     target = tmp_path / "out.json"
     atomic_write_json(target, {"a": [1, 2.5, "x"]})
     assert json.loads(target.read_text()) == {"a": [1, 2.5, "x"]}
@@ -50,7 +48,12 @@ def test_append_line_terminates_a_torn_tail_first(tmp_path):
         handle.write('{"key": "b", "sta')  # crash mid-append
     append_line(target, '{"key": "c"}')
     assert target.read_bytes() == b'{"key": "a"}\n{"key": "b", "sta\n{"key": "c"}\n'
-    keys = [entry["key"] for entry in iter_json_lines(target.read_text(), target)]
+    keys = []
+    for line in target.read_text().splitlines():
+        try:
+            keys.append(json.loads(line)["key"])
+        except json.JSONDecodeError:
+            pass  # the torn line stays isolated on a line of its own
     assert keys == ["a", "c"]
 
 
