@@ -18,8 +18,6 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.analytical.runtime import mapping_utilization, scaleout_runtime
 from repro.config.hardware import Dataflow
 from repro.errors import SearchError
@@ -246,6 +244,8 @@ def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:
     Duplicate rows all survive — dominance is strict — and order is
     ascending, so results are deterministic.
     """
+    import numpy as np
+
     matrix = np.asarray(points, dtype=float)
     if matrix.ndim != 2:
         raise SearchError(

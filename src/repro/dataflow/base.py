@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterator, List, Tuple
 
 from repro.config.hardware import Dataflow
 from repro.errors import MappingError
 from repro.mapping.dims import OperandMapping, map_gemm
 from repro.mapping.folds import Fold, FoldPlan, plan_folds
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def fold_cycles(rows: int, cols: int, temporal: int) -> int:
@@ -178,6 +179,8 @@ def _stream_window_counts(length: int, active_rows: int, depth: int, start: int)
     ``length`` whose entry ``t`` counts the active streams at cycle ``t``.
     This one shape covers every feed/drain phase of all three dataflows.
     """
+    import numpy as np
+
     t = np.arange(length, dtype=np.int64)
     s = t - start
     lo = np.maximum(0, s - depth + 1)

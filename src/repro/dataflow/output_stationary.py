@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.config.hardware import Dataflow
 from repro.dataflow.base import (
     AddressLayout,
@@ -50,6 +48,8 @@ class OutputStationaryEngine(DataflowEngine):
         )
 
     def fold_demand(self, fold: Fold) -> FoldDemand:
+        import numpy as np
+
         cycles = self.fold_cycles(fold)
         t = self.mapping.t
         ifmap = _stream_window_counts(cycles, fold.rows, t, start=0)

@@ -20,13 +20,14 @@ Writes form anti-diagonal wavefronts: at cycle ``t``, every PE with
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from repro.dataflow.base import AddressLayout, CycleTrace, FoldDemand
 from repro.dataflow.output_stationary import OutputStationaryEngine
 from repro.mapping.folds import Fold
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def _antidiagonal_counts(length: int, rows: int, cols: int, start: int) -> np.ndarray:
@@ -36,6 +37,8 @@ def _antidiagonal_counts(length: int, rows: int, cols: int, start: int) -> np.nd
     ``max(0, min(d, rows-1, cols-1, rows+cols-2-d) + 1)`` cells — the
     familiar ramp-plateau-ramp profile.
     """
+    import numpy as np
+
     t = np.arange(length, dtype=np.int64)
     d = t - start
     upper = np.minimum(np.minimum(d, rows - 1), np.minimum(cols - 1, rows + cols - 2 - d))

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.config.hardware import Dataflow
 from repro.dataflow.base import (
     AddressLayout,
@@ -51,6 +49,8 @@ class WeightStationaryEngine(DataflowEngine):
         )
 
     def fold_demand(self, fold: Fold) -> FoldDemand:
+        import numpy as np
+
         cycles = self.fold_cycles(fold)
         t = self.mapping.t
         r, c = fold.rows, fold.cols

@@ -16,7 +16,6 @@ fold 0's operands have nothing to hide behind and are paid up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.memory.bandwidth import DramTraffic
 
@@ -52,14 +51,9 @@ def bandwidth_limited_runtime(traffic: DramTraffic, bandwidth: float) -> Stalled
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
-    reads: List[int] = [
-        i_bytes + f_bytes
-        for i_bytes, f_bytes in zip(
-            traffic.ifmap.per_fold_bytes, traffic.filter.per_fold_bytes
-        )
-    ]
-    writes = list(traffic.ofmap_per_fold_bytes)
-    cycles = traffic.fold_cycles
+    reads = traffic.read_per_fold_bytes.expand()
+    writes = traffic.ofmap_per_fold_bytes.expand()
+    cycles = traffic.fold_cycles.expand()
     folds = len(cycles)
 
     cold_start = reads[0] / bandwidth
@@ -89,7 +83,7 @@ def sweet_spot_bandwidth(traffic: DramTraffic, tolerance: float = 0.05) -> float
     """
     if not 0 < tolerance < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
-    target = (1.0 + tolerance) * sum(traffic.fold_cycles)
+    target = (1.0 + tolerance) * traffic.total_cycles
 
     low, high = 1e-6, 1.0
     while bandwidth_limited_runtime(traffic, high).total_cycles > target:

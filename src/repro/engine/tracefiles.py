@@ -73,7 +73,7 @@ def dram_request_stream(
     """
     if line_bytes <= 0:
         raise ValueError(f"line_bytes must be positive, got {line_bytes}")
-    fold_cycles = np.asarray(traffic.fold_cycles, dtype=np.int64)
+    fold_cycles = np.asarray(traffic.fold_cycles.expand(), dtype=np.int64)
     fold_starts = np.cumsum(fold_cycles) - fold_cycles
     total_cycles = int(fold_starts[-1] + fold_cycles[-1])
 
@@ -93,7 +93,7 @@ def dram_request_stream(
     cycles, addresses, writes = [], [], []
     for per_fold_bytes, starts, lens, offset, is_write in streams:
         # Each operand walks its region sequentially, line by line.
-        lines = -(-np.asarray(per_fold_bytes, dtype=np.int64) // line_bytes)
+        lines = -(-np.asarray(per_fold_bytes.expand(), dtype=np.int64) // line_bytes)
         count = int(lines.sum())
         cycles.append(_spread(starts, lens, lines))
         addresses.append(offset + line_bytes * np.arange(count, dtype=np.int64))

@@ -67,14 +67,9 @@ def simulate_execution(traffic: DramTraffic, bandwidth: float) -> ExecutionTimel
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
-    reads = [
-        i_bytes + f_bytes
-        for i_bytes, f_bytes in zip(
-            traffic.ifmap.per_fold_bytes, traffic.filter.per_fold_bytes
-        )
-    ]
-    writes = list(traffic.ofmap_per_fold_bytes)
-    cycles = traffic.fold_cycles
+    reads = traffic.read_per_fold_bytes.expand()
+    writes = traffic.ofmap_per_fold_bytes.expand()
+    cycles = traffic.fold_cycles.expand()
     folds = len(cycles)
 
     interface_free = 0.0  # when the shared interface finishes its queue

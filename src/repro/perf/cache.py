@@ -43,11 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.bandwidth import DramTraffic
 
 #: Default bound, in entries, not bytes.  An entry holds its layer's
-#: per-fold lists, so its size grows with the fold count: the 630
-#: entries of every registered workload on {8x8, 32x32, 128x128} x
-#: {OS, WS, IS} hold 318 MiB of them, the largest 55 MiB (one layer of
-#: 1.6M folds), while ``serve_load``'s 977 entries hold about 10 MiB.
-#: Fold runs (ROADMAP item 2) shrink entries to O(shape classes).
+#: per-fold sequences as fold runs, so its size is O(shape classes),
+#: not O(folds): the 630 entries of every registered workload on
+#: {8x8, 32x32, 128x128} x {OS, WS, IS} hold 0.94 MiB of them, the
+#: largest 2.5 KiB (per-fold lists held 318 MiB, the largest 55 MiB).
 DEFAULT_MAX_ENTRIES = 4096
 
 CacheValue = Tuple["LayerResult", "DramTraffic"]

@@ -5,7 +5,8 @@ that cannot fire.  Each :class:`Mutant` here installs one seeded,
 realistic defect — an off-by-one in the analytical runtime, a cache
 key that forgets the dataflow, a degraded-mode prediction that drifts,
 a shape-class aggregation that drops a class, a DRAM scheduler that
-skips the write-to-read turnaround — and then runs the very
+skips the write-to-read turnaround, a fold-run peak that forgets
+where one outer-loop iteration wraps into the next — and then runs the very
 same :func:`~repro.verify.harness.run_verify` loop against it.  Every
 mutant must be *killed* (detected, shrunk and bundled); any survivor
 fails the smoke with :class:`~repro.errors.VerificationError`.
@@ -101,6 +102,20 @@ def _patch_dram_drop_wtr() -> ContextManager:
     )
 
 
+def _patch_fold_runs_drop_wrap() -> ContextManager:
+    """Fold-run adjacent pairs drop the wrap-around between two repeats
+    of one block, so the peak misses fold ``k-1`` of one outer iteration
+    feeding fold ``k`` of the next."""
+    import unittest.mock as mock
+
+    import repro.memory.foldruns as foldruns
+
+    real = foldruns._block_pairs
+    return mock.patch.object(
+        foldruns, "_block_pairs", lambda runs, repeat: real(runs, 1)
+    )
+
+
 @dataclass(frozen=True)
 class Mutant:
     """One seeded defect and the properties expected to kill it."""
@@ -141,6 +156,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         _patch_dram_drop_wtr,
         ("dram",),
         "columnar DRAM scheduler skips the write-to-read bus turnaround",
+    ),
+    Mutant(
+        "fold-runs-drop-wrap",
+        _patch_fold_runs_drop_wrap,
+        ("fold_runs",),
+        "fold-run peak drops the pair between two repeats of one block",
     ),
 )
 

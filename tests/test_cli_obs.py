@@ -291,6 +291,14 @@ class TestBenchCommand:
                  "benches": {"gemm_256": {"wall_time_s": 1e-9, "counters": {}}}}
         path.write_text(json.dumps(entry) + "\n")
 
+    @staticmethod
+    def _generous_baseline(path):
+        # a synthetic one-second baseline: no real measurement regresses
+        # against it, so the verdict never depends on wall-clock noise
+        entry = {"schema": "repro.bench/1",
+                 "benches": {"gemm_256": {"wall_time_s": 1.0, "counters": {}}}}
+        path.write_text(json.dumps(entry) + "\n")
+
     def test_injected_regression_exits_17(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"
         self._tiny_baseline(history)
@@ -306,10 +314,12 @@ class TestBenchCommand:
         assert "performance regression" in captured.err
 
     def test_compare_record_appends_only_passing_runs(self, tmp_path, capsys):
+        assert main(["bench", "record", "--history", str(tmp_path / "recorded.jsonl"),
+                     "--benches", "gemm_256", "--repeats", "1"]) == 0
         history = tmp_path / "history.jsonl"
+        self._generous_baseline(history)
         argv_tail = ["--history", str(history), "--benches", "gemm_256",
                      "--repeats", "1"]
-        assert main(["bench", "record"] + argv_tail) == 0
         assert main(["bench", "compare", "--record"] + argv_tail) == 0
         assert len(history.read_text().splitlines()) == 2
 

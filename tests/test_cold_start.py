@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro._version import __version__
 from repro.serve.jobs import job_key
 
@@ -118,6 +120,41 @@ def test_a_resweep_that_reuses_every_point_loads_no_numpy(tmp_path):
     ]
     assert "repro.sweep" in imported
     assert _under(imported, "numpy") == []
+
+
+def _imports_of(*argv: str) -> list:
+    """Every module a ``repro`` command imports, by ``-X importtime``."""
+    done = _python("-X", "importtime", "-m", "repro", *argv)
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "fig11abc"),
+    ("reproduce", "fig12"),
+    ("reproduce", "resilience"),
+    ("run", "--workload", "resnet50", "--array", "32x32"),
+    ("sweep", "--layer", "GNMT0", "--macs", "65536", "--checkpoint", "{tmp}/journal"),
+])
+def test_simulating_commands_never_import_numpy(argv, tmp_path):
+    # Fold runs price DRAM traffic without arrays, and the dataflow
+    # engines import numpy only to build per-cycle demand views.
+    imported = _imports_of(*(part.replace("{tmp}", str(tmp_path)) for part in argv))
+    assert "repro.memory.bandwidth" in imported
+    assert _under(imported, "numpy") == []
+
+
+def test_engine_sweep_and_daemon_job_path_load_no_numpy():
+    from repro.serve.daemon import _JOB_PATH
+
+    modules = _modules_after("import " + ", ".join(
+        ("repro.engine.simulator", "repro.engine.scaleout", "repro.sweep", *_JOB_PATH)
+    ))
+    assert "repro.memory.bandwidth" in modules
+    assert _under(modules, "numpy") == []
 
 
 def test_engine_imports_no_store_service_robust_or_sweep():

@@ -31,7 +31,7 @@ class TestSingleFoldLayers:
         writes = [r for r in requests if r.is_write]
         assert reads and writes
         # Single fold: the writeback drains after the fold's own window.
-        assert min(w.cycle for w in writes) >= traffic.fold_cycles[0]
+        assert min(w.cycle for w in writes) >= traffic.fold_cycles.first
 
     def test_single_fold_peak_bandwidth_defined(self):
         engine = engine_for_gemm(4, 4, 4, Dataflow.WEIGHT_STATIONARY, 16, 16)

@@ -100,7 +100,8 @@ class TestDramRequestStream:
 
 def fold_walk_stream(traffic, layout, line_bytes):
     """The stream built one fold and one line at a time."""
-    fold_cycles = traffic.fold_cycles
+    fold_cycles = traffic.fold_cycles.expand()
+    ofmap_per_fold_bytes = traffic.ofmap_per_fold_bytes.expand()
     fold_starts = [0]
     for cycles in fold_cycles[:-1]:
         fold_starts.append(fold_starts[-1] + cycles)
@@ -109,7 +110,7 @@ def fold_walk_stream(traffic, layout, line_bytes):
     write_cursor = layout.ofmap_offset
     events = []
     for k, (i_bytes, f_bytes) in enumerate(
-        zip(traffic.ifmap.per_fold_bytes, traffic.filter.per_fold_bytes)
+        zip(traffic.ifmap.per_fold_bytes.expand(), traffic.filter.per_fold_bytes.expand())
     ):
         window_start = 0 if k == 0 else fold_starts[k - 1]
         window_len = fold_cycles[0] if k == 0 else fold_cycles[k - 1]
@@ -122,7 +123,7 @@ def fold_walk_stream(traffic, layout, line_bytes):
         last = k + 1 == len(fold_cycles)
         drain_start = total_cycles if last else fold_starts[k + 1]
         drain_len = fold_cycles[-1] if last else fold_cycles[k + 1]
-        lines = -(-traffic.ofmap_per_fold_bytes[k] // line_bytes)
+        lines = -(-ofmap_per_fold_bytes[k] // line_bytes)
         for j in range(lines):
             cycle = drain_start + (j * drain_len) // lines
             events.append(DramRequest(cycle, write_cursor, True))

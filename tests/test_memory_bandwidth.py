@@ -8,32 +8,40 @@ from repro.config.hardware import Dataflow, HardwareConfig
 from repro.dataflow.factory import engine_for_gemm
 from repro.memory.bandwidth import _stall_free_bandwidths, compute_dram_traffic
 from repro.memory.buffers import BufferSet
+from repro.memory.foldruns import FoldRuns
 
 BIG_SRAM = HardwareConfig(ifmap_sram_kb=1024, filter_sram_kb=1024, ofmap_sram_kb=1024)
 TINY_SRAM = HardwareConfig(ifmap_sram_kb=1, filter_sram_kb=1, ofmap_sram_kb=1)
 
 
+def stall_free(reads, writes, cycles):
+    """``_stall_free_bandwidths`` over per-fold lists, as one block each."""
+    return _stall_free_bandwidths(
+        *(FoldRuns.from_list(values, len(values)) for values in (reads, writes, cycles))
+    )
+
+
 class TestStallFreeMath:
     def test_single_fold_moves_everything_within_itself(self):
-        profile = _stall_free_bandwidths([100], [40], [50])
+        profile = stall_free([100], [40], [50])
         assert profile.peak_read_bw == 2.0
         assert profile.peak_write_bw == 0.8
 
     def test_prefetch_hides_behind_previous_fold(self):
         # fold 1's 60 bytes prefetch over fold 0's 30 cycles
-        profile = _stall_free_bandwidths([0, 60], [0, 0], [30, 20])
+        profile = stall_free([0, 60], [0, 0], [30, 20])
         assert profile.peak_read_bw == 2.0
 
     def test_writes_drain_during_next_fold(self):
-        profile = _stall_free_bandwidths([0, 0], [40, 0], [10, 20])
+        profile = stall_free([0, 0], [40, 0], [10, 20])
         assert profile.peak_write_bw == 2.0
 
     def test_final_fold_writes_counted(self):
-        profile = _stall_free_bandwidths([0, 0], [0, 80], [10, 20])
+        profile = stall_free([0, 0], [0, 80], [10, 20])
         assert profile.peak_write_bw == 4.0
 
     def test_averages(self):
-        profile = _stall_free_bandwidths([10, 30], [5, 5], [20, 20])
+        profile = stall_free([10, 30], [5, 5], [20, 20])
         assert profile.avg_read_bw == 1.0
         assert profile.avg_write_bw == 0.25
         assert profile.avg_total_bw == 1.25
@@ -62,7 +70,7 @@ class TestComputeDramTraffic:
         engine = self.engine()
         traffic = compute_dram_traffic(engine, BufferSet.from_config(BIG_SRAM), 1)
         assert traffic.cold_start_bytes == (
-            traffic.ifmap.per_fold_bytes[0] + traffic.filter.per_fold_bytes[0]
+            traffic.ifmap.per_fold_bytes.expand()[0] + traffic.filter.per_fold_bytes.expand()[0]
         )
 
     def test_total_cycles_matches_engine(self):

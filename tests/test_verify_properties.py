@@ -90,7 +90,7 @@ class TestRegistry:
         assert set(PROPERTIES) == {
             "models", "shape_classes", "golden", "conservation",
             "monotone_array", "monotone_batch", "permutation",
-            "cache_identity", "vectorized", "dram",
+            "cache_identity", "vectorized", "fold_runs", "dram",
             "parser_topology", "parser_config",
         }
 
