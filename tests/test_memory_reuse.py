@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.dataflow.base import OperandSlice
 from repro.memory.buffers import DoubleBuffer
-from repro.memory.reuse import operand_dram_traffic
+from repro.memory.foldruns import FoldRuns
+from repro.memory.reuse import OperandTraffic, per_fold_fetch_bytes
 
 
 def slices(ids, elements=10, stream="ifmap"):
@@ -19,66 +20,70 @@ def buffer(working_bytes):
 
 class TestWholeOperandFits:
     def test_each_slice_fetched_once(self):
-        traffic = operand_dram_traffic(
+        per_fold = per_fold_fetch_bytes(
             slices(["a", "b", "a", "b"]), unique_elements=20, buffer=buffer(1000), word_bytes=1
         )
-        assert traffic.per_fold_bytes == [10, 10, 0, 0]
-        assert traffic.total_bytes == 20
+        assert per_fold == [10, 10, 0, 0]
+        assert sum(per_fold) == 20
 
     def test_refetch_factor_is_one(self):
-        traffic = operand_dram_traffic(
+        per_fold = per_fold_fetch_bytes(
             slices(["a", "b", "a"]), unique_elements=20, buffer=buffer(1000), word_bytes=1
+        )
+        traffic = OperandTraffic(
+            stream="ifmap",
+            per_fold_bytes=FoldRuns.from_list(per_fold, len(per_fold)),
+            unique_bytes=20,
         )
         assert traffic.refetch_factor == 1.0
 
 
 class TestOperandDoesNotFit:
     def test_refetch_on_slice_change(self):
-        traffic = operand_dram_traffic(
+        per_fold = per_fold_fetch_bytes(
             slices(["a", "b", "a", "b"]), unique_elements=40, buffer=buffer(15), word_bytes=1
         )
         # 40 unique > 15 working; slices (10B) fit individually, so each
         # change of resident slice costs a fetch.
-        assert traffic.per_fold_bytes == [10, 10, 10, 10]
-        assert traffic.refetch_factor == 1.0  # total 40 == unique 40
+        assert per_fold == [10, 10, 10, 10]
+        assert sum(per_fold) == 40  # refetch factor 1.0: total == unique
 
     def test_consecutive_same_slice_reuses(self):
-        traffic = operand_dram_traffic(
+        per_fold = per_fold_fetch_bytes(
             slices(["a", "a", "b", "b"]), unique_elements=40, buffer=buffer(15), word_bytes=1
         )
-        assert traffic.per_fold_bytes == [10, 0, 10, 0]
+        assert per_fold == [10, 0, 10, 0]
 
     def test_streaming_slice_always_refetched(self):
         # A single slice larger than the working half streams every fold.
-        traffic = operand_dram_traffic(
+        per_fold = per_fold_fetch_bytes(
             slices(["a", "a"], elements=100),
             unique_elements=200,
             buffer=buffer(50),
             word_bytes=1,
         )
-        assert traffic.per_fold_bytes == [100, 100]
+        assert per_fold == [100, 100]
 
     def test_word_bytes_scales_traffic(self):
-        traffic = operand_dram_traffic(
+        per_fold = per_fold_fetch_bytes(
             slices(["a", "b"]), unique_elements=100, buffer=buffer(11), word_bytes=2
         )
-        assert traffic.per_fold_bytes == [20, 20]
-        assert traffic.unique_bytes == 200
+        assert per_fold == [20, 20]
 
 
 class TestValidation:
     def test_rejects_empty_slices(self):
         with pytest.raises(ValueError, match="non-empty"):
-            operand_dram_traffic([], unique_elements=10, buffer=buffer(10), word_bytes=1)
+            per_fold_fetch_bytes([], unique_elements=10, buffer=buffer(10), word_bytes=1)
 
     def test_rejects_mixed_streams(self):
         mixed = slices(["a"], stream="ifmap") + slices(["b"], stream="filter")
         with pytest.raises(ValueError, match="mixed operand streams"):
-            operand_dram_traffic(mixed, unique_elements=10, buffer=buffer(10), word_bytes=1)
+            per_fold_fetch_bytes(mixed, unique_elements=10, buffer=buffer(10), word_bytes=1)
 
     def test_rejects_zero_word_bytes(self):
         with pytest.raises(ValueError):
-            operand_dram_traffic(slices(["a"]), unique_elements=10, buffer=buffer(10), word_bytes=0)
+            per_fold_fetch_bytes(slices(["a"]), unique_elements=10, buffer=buffer(10), word_bytes=0)
 
 
 class TestProperties:
@@ -90,21 +95,21 @@ class TestProperties:
     def test_traffic_at_least_touches_each_slice_once(self, ids, elements, working):
         pieces = slices(ids, elements=elements)
         unique = elements * len(set(ids))
-        traffic = operand_dram_traffic(pieces, unique, buffer(working), word_bytes=1)
-        assert traffic.total_bytes >= unique
-        assert len(traffic.per_fold_bytes) == len(pieces)
+        per_fold = per_fold_fetch_bytes(pieces, unique, buffer(working), word_bytes=1)
+        assert sum(per_fold) >= unique
+        assert len(per_fold) == len(pieces)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30), st.integers(1, 64))
     def test_huge_buffer_gives_perfect_reuse(self, ids, elements):
         pieces = slices(ids, elements=elements)
         unique = elements * len(set(ids))
-        traffic = operand_dram_traffic(pieces, unique, buffer(10**9), word_bytes=1)
-        assert traffic.total_bytes == unique
+        per_fold = per_fold_fetch_bytes(pieces, unique, buffer(10**9), word_bytes=1)
+        assert sum(per_fold) == unique
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30), st.integers(1, 64))
     def test_smaller_buffer_never_reduces_traffic(self, ids, elements):
         pieces = slices(ids, elements=elements)
         unique = elements * len(set(ids))
-        big = operand_dram_traffic(pieces, unique, buffer(10**9), word_bytes=1)
-        small = operand_dram_traffic(pieces, unique, buffer(1), word_bytes=1)
-        assert small.total_bytes >= big.total_bytes
+        big = per_fold_fetch_bytes(pieces, unique, buffer(10**9), word_bytes=1)
+        small = per_fold_fetch_bytes(pieces, unique, buffer(1), word_bytes=1)
+        assert sum(small) >= sum(big)
