@@ -279,9 +279,12 @@ def _sweep_ledger(args: argparse.Namespace):
 def _parse_shape(text: str, what: str) -> Tuple[int, int]:
     try:
         rows_text, cols_text = text.lower().split("x")
-        return int(rows_text), int(cols_text)
+        rows, cols = int(rows_text), int(cols_text)
     except ValueError:
-        raise SystemExit(f"invalid {what} {text!r}; expected e.g. 32x32") from None
+        rows = cols = 0
+    if rows < 1 or cols < 1:
+        raise SystemExit(f"invalid {what} {text!r}; expected e.g. 32x32")
+    return rows, cols
 
 
 def _load_network(args: argparse.Namespace) -> Network:
@@ -403,6 +406,8 @@ def _cmd_dram(args: argparse.Namespace) -> int:
     from repro.memory.bandwidth import compute_dram_traffic
     from repro.memory.buffers import BufferSet
 
+    if args.channels < 1:
+        raise SystemExit(f"invalid --channels {args.channels}; expected at least 1")
     network = _load_network(args)
     config = _build_config(args)
     if not config.is_monolithic:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -11,19 +11,32 @@ from repro.dram.timing import DramTiming
 from repro.errors import DramError
 
 
-@dataclass(frozen=True)
-class DramAccess:
-    """One line-sized DRAM transaction as seen at the interface."""
-
+class _DramAccessFields(NamedTuple):
     cycle: int
     address: int
     is_write: bool = False
 
-    def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise DramError(f"cycle must be non-negative, got {self.cycle}")
-        if self.address < 0:
-            raise DramError(f"address must be non-negative, got {self.address}")
+
+class DramAccess(_DramAccessFields):
+    """One line-sized DRAM transaction as seen at the interface.
+
+    A tuple ``(cycle, address, is_write)``: immutable, compared and
+    hashed by value.  Built by name it rejects a negative cycle or
+    address.  A producer whose values are non-negative by construction
+    may build records with ``tuple.__new__(DramAccess, fields)`` and
+    skip that check; :meth:`DramSimulator.run
+    <repro.dram.simulator.DramSimulator.run>` checks every record again
+    as it reads the trace into columns.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cycle: int, address: int, is_write: bool = False) -> "DramAccess":
+        if cycle < 0:
+            raise DramError(f"cycle must be non-negative, got {cycle}")
+        if address < 0:
+            raise DramError(f"address must be non-negative, got {address}")
+        return tuple.__new__(cls, (cycle, address, is_write))
 
 
 @dataclass(frozen=True)

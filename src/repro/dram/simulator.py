@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -61,16 +62,12 @@ class DramSimulator:
         its requests in arrival order, as :meth:`Channel.service` would
         see them, and :func:`service_columns` schedules them.
         """
-        cycles, addresses, writes = _columns(requests)
-        if not len(cycles):
-            raise DramError("empty DRAM trace")
         timing = self.timing
-
-        with trace.span(
-            "dram.run",
-            requests=len(cycles),
-            channels=timing.num_channels,
-        ):
+        with trace.span("dram.run", channels=timing.num_channels) as span:
+            cycles, addresses, writes = _columns(requests)
+            if not len(cycles):
+                raise DramError("empty DRAM trace")
+            span.set(requests=len(cycles))
             channels, banks, rows = decode_columns(addresses, timing)
             order = np.lexsort((cycles, channels))
             bounds = np.searchsorted(
@@ -125,12 +122,33 @@ class DramSimulator:
 
 
 def _columns(requests: Iterable[DramAccess]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a trace once into int64 cycle and address and bool write columns."""
+    """Read a trace once into int64 cycle and address and bool write columns.
+
+    Every record is a ``(cycle, address, is_write)`` triple; one
+    ``np.fromiter`` over their chained fields fills an ``(n, 3)`` int64
+    table.  Records that skipped :class:`DramAccess`'s checks are
+    checked here: a record without exactly three fields, a value outside
+    int64 and a negative cycle or address each raise :class:`DramError`.
+    """
     trace_list = list(requests)
     try:
-        cycles = np.array([item.cycle for item in trace_list], dtype=np.int64)
-        addresses = np.array([item.address for item in trace_list], dtype=np.int64)
+        triples = set(map(len, trace_list)) <= {3}
+    except TypeError:  # a record that is not a sequence
+        triples = False
+    if not triples:
+        raise DramError("every DRAM trace record must be a (cycle, address, is_write) triple")
+    count = len(trace_list)
+    try:
+        table = np.fromiter(
+            itertools.chain.from_iterable(trace_list), np.int64, count=3 * count
+        ).reshape(count, 3)
     except OverflowError as exc:
         raise DramError(f"DRAM trace cycle or address outside int64: {exc}") from exc
-    writes = np.array([bool(item.is_write) for item in trace_list], dtype=bool)
-    return cycles, addresses, writes
+    cycles, addresses, flags = table.T.copy()  # contiguous: strided views slow the gathers
+    negative = (cycles < 0) | (addresses < 0)
+    if negative.any():
+        raise DramError(
+            "DRAM trace cycle and address must be non-negative, "
+            f"got {trace_list[int(negative.argmax())]!r}"
+        )
+    return cycles, addresses, flags != 0

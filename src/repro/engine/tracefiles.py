@@ -14,14 +14,16 @@ Two artifacts are produced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.dataflow.base import AddressLayout, DataflowEngine
+from repro.dram.request import DramAccess
 from repro.memory.bandwidth import DramTraffic
+from repro.obs import trace
 
 
 def write_sram_trace_csv(
@@ -49,30 +51,41 @@ def write_sram_trace_csv(
     return read_path, write_path
 
 
-@dataclass(frozen=True)
-class DramRequest:
-    """One DRAM transaction of ``line_bytes`` at ``cycle``."""
-
-    cycle: int
-    address: int
-    is_write: bool
-
-
 def dram_request_stream(
     traffic: DramTraffic,
     layout: AddressLayout,
     line_bytes: int = 64,
-) -> Iterator[DramRequest]:
+) -> Iterator[DramAccess]:
     """Lower a layer's DRAM traffic into a timed request stream.
 
     Addresses walk each operand region sequentially (prefetches are
     bulk, linear transfers in SCALE-Sim's model); request timestamps
     spread each fold's transfer uniformly over the fold it overlaps
-    with.  The stream is ordered by (cycle, is_write, address) and is
-    suitable for :class:`repro.dram.simulator.DramSimulator`.
+    with.  The stream yields :class:`~repro.dram.request.DramAccess`
+    records ordered by (cycle, is_write, address), ready for
+    :class:`repro.dram.simulator.DramSimulator`.
     """
     if line_bytes <= 0:
         raise ValueError(f"line_bytes must be positive, got {line_bytes}")
+    with trace.span("dram.stream") as span:
+        # Cycles sum fold lengths and addresses are ``offset + line_bytes
+        # * j``, so the records skip DramAccess's per-record check (the
+        # replay checks its columns) and are built at C speed.
+        events = list(
+            map(
+                tuple.__new__,
+                repeat(DramAccess),
+                zip(*_request_columns(traffic, layout, line_bytes)),
+            )
+        )
+        span.set(requests=len(events))
+    return iter(events)
+
+
+def _request_columns(
+    traffic: DramTraffic, layout: AddressLayout, line_bytes: int
+) -> Tuple[List[int], List[int], List[bool]]:
+    """The stream's cycle, address and is_write columns, in stream order."""
     fold_cycles = np.asarray(traffic.fold_cycles.expand(), dtype=np.int64)
     fold_starts = np.cumsum(fold_cycles) - fold_cycles
     total_cycles = int(fold_starts[-1] + fold_cycles[-1])
@@ -103,15 +116,7 @@ def dram_request_stream(
     )
 
     order = np.lexsort((addresses, writes, cycles))
-    events = list(
-        map(
-            DramRequest,
-            cycles[order].tolist(),
-            addresses[order].tolist(),
-            writes[order].tolist(),
-        )
-    )
-    return iter(events)
+    return cycles[order].tolist(), addresses[order].tolist(), writes[order].tolist()
 
 
 def _spread(starts: np.ndarray, lens: np.ndarray, lines: np.ndarray) -> np.ndarray:

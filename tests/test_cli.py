@@ -54,6 +54,18 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--workload", "TF1", "--array", "32by32"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--workload", "NCF0", "--array", "0x64"], "--array"),
+            (["run", "--workload", "NCF0", "--partitions", "0x2"], "--partitions"),
+            (["dram", "--workload", "NCF0", "--array", "64x64", "--channels", "0"], "--channels"),
+        ],
+    )
+    def test_zero_size_is_a_usage_error(self, argv, flag):
+        with pytest.raises(SystemExit, match=flag):
+            main(argv)
+
     def test_dataflow_override(self, capsys):
         assert main(["run", "--workload", "TF1", "--array", "16x16", "--dataflow", "ws"]) == 0
         assert "ws" in capsys.readouterr().out

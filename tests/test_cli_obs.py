@@ -14,8 +14,14 @@ from repro.cli import (
     EXIT_PERF_REGRESSION,
     main,
 )
+from repro.config.presets import paper_scaling_config
+from repro.engine.simulator import Simulator
+from repro.engine.tracefiles import dram_request_stream
+from repro.memory.bandwidth import compute_dram_traffic
+from repro.memory.buffers import BufferSet
 from repro.obs import flight
 from repro.perf.cache import cache
+from repro.workloads.language import language_layer
 
 #: The retired result store's environment variable; setting it only warns.
 STORE_ENV_VAR = "REPRO_RESULT_STORE"
@@ -64,6 +70,26 @@ class TestTraceAndMetricsFlags:
         assert doc["metadata"]["version"] == __version__
         assert doc["metadata"]["config_hash"]
         assert doc["metadata"]["command"] == "run"
+
+    def test_dram_replay_traces_stream_and_run(self, tmp_path, capsys):
+        trace_path = tmp_path / "dram.trace.json"
+        code = main([
+            "--trace", str(trace_path),
+            "dram", "--workload", "NCF0", "--array", "64x64",
+        ])
+        assert code == 0
+        requests = {}
+        for event in json.loads(trace_path.read_text())["traceEvents"]:
+            if event["ph"] == "X" and event["name"] in ("dram.stream", "dram.run"):
+                requests.setdefault(event["name"], []).append(event["args"]["requests"])
+        config = paper_scaling_config(32, 32).with_array(64, 64)
+        simulator = Simulator(config)
+        layer = language_layer("NCF0")
+        traffic = compute_dram_traffic(
+            simulator.engine(layer), BufferSet.from_config(config), config.word_bytes
+        )
+        replayed = len(list(dram_request_stream(traffic, simulator.address_layout(layer))))
+        assert requests == {"dram.stream": [replayed], "dram.run": [replayed]}
 
     def test_run_writes_metrics_snapshot(self, tmp_path, capsys):
         metrics_path = tmp_path / "run.metrics.json"

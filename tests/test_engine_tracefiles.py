@@ -5,7 +5,8 @@ import pytest
 from repro.config.hardware import Dataflow, HardwareConfig
 from repro.dataflow.base import AddressLayout
 from repro.dataflow.factory import engine_for_gemm
-from repro.engine.tracefiles import DramRequest, dram_request_stream, write_sram_trace_csv
+from repro.dram.request import DramAccess
+from repro.engine.tracefiles import dram_request_stream, write_sram_trace_csv
 from repro.memory.bandwidth import compute_dram_traffic
 from repro.memory.buffers import BufferSet
 
@@ -118,7 +119,7 @@ def fold_walk_stream(traffic, layout, line_bytes):
             lines = -(-nbytes // line_bytes)
             for j in range(lines):
                 cycle = window_start + (j * window_len) // lines
-                events.append(DramRequest(cycle, cursor[stream], False))
+                events.append(DramAccess(cycle, cursor[stream], False))
                 cursor[stream] += line_bytes
         last = k + 1 == len(fold_cycles)
         drain_start = total_cycles if last else fold_starts[k + 1]
@@ -126,7 +127,7 @@ def fold_walk_stream(traffic, layout, line_bytes):
         lines = -(-ofmap_per_fold_bytes[k] // line_bytes)
         for j in range(lines):
             cycle = drain_start + (j * drain_len) // lines
-            events.append(DramRequest(cycle, write_cursor, True))
+            events.append(DramAccess(cycle, write_cursor, True))
             write_cursor += line_bytes
     events.sort(key=lambda req: (req.cycle, req.is_write, req.address))
     return events

@@ -16,6 +16,9 @@ package, lazy imports inside functions included:
   there, because ``simulate(verify=True)`` lazily imports
   ``repro.robust.invariants`` to cross-check its own result; only a
   caller that asks for that check pays the import.
+* ``repro.dram`` knows nothing of the engine: ``engine.tracefiles``
+  emits the dram package's ``DramAccess`` records, not the other way
+  round.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ FORBIDDEN = {
         "repro.verify",
     ),
     "repro.perf": ("repro.serve", "repro.sweep", "repro.cli"),
+    "repro.dram": ("repro.engine",),
 }
 
 #: The only package ``repro.utils`` may import.
