@@ -17,9 +17,9 @@ fastest/2nd/.../slowest candidate) can be regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
-from repro.analytical.runtime import scaleout_runtime
+from repro.analytical.runtime import _scaleout_cycles, scaleout_runtime
 from repro.analytical.search import CandidateConfig, best_scaleout, best_scaleup
 from repro.config.hardware import Dataflow
 from repro.errors import SearchError
@@ -74,24 +74,6 @@ def _local_optima(
     return candidates
 
 
-def _total_cost(
-    workloads: WorkloadSet,
-    candidate: CandidateConfig,
-    mappings: Optional[Sequence[OperandMapping]] = None,
-) -> int:
-    """Step 3: additive total runtime of all workloads on one candidate."""
-    total = 0
-    for mapping in (workloads.mappings() if mappings is None else mappings):
-        total += scaleout_runtime(
-            mapping,
-            candidate.partition_rows,
-            candidate.partition_cols,
-            candidate.array_rows,
-            candidate.array_cols,
-        )
-    return total
-
-
 def candidate_costs(
     workloads: WorkloadSet,
     total_macs: int,
@@ -100,36 +82,16 @@ def candidate_costs(
 ) -> List[Tuple[CandidateConfig, int]]:
     """Return every candidate with its total cost, sorted fastest first.
 
-    The whole candidates-by-workloads cost matrix evaluates in one
-    vectorized Eq. 5/6 pass (Table III mappings hoisted out of the
-    candidate loop — they depend only on the workload set).
+    Step 3 sums the Eq. 5/6 runtime of every workload on each candidate;
+    the Table III mappings depend only on the workload set, so they are
+    hoisted out of the candidate loop.
     """
-    import numpy as np
-
-    from repro.analytical.vectorized import scaleout_runtime_v
-
     candidates = _local_optima(workloads, total_macs, scaleout, min_array_dim)
-    mappings = workloads.mappings()
-    sr = np.array([m.sr for m in mappings], dtype=np.int64)
-    sc = np.array([m.sc for m in mappings], dtype=np.int64)
-    t = np.array([m.t for m in mappings], dtype=np.int64)
-    costed = [
-        (
-            cand,
-            int(
-                scaleout_runtime_v(
-                    sr,
-                    sc,
-                    t,
-                    cand.partition_rows,
-                    cand.partition_cols,
-                    cand.array_rows,
-                    cand.array_cols,
-                ).sum()
-            ),
-        )
-        for cand in candidates
-    ]
+    sizes = [(m.sr, m.sc, m.t) for m in workloads.mappings()]
+    costed = []
+    for cand in candidates:
+        point = (cand.partition_rows, cand.partition_cols, cand.array_rows, cand.array_cols)
+        costed.append((cand, sum(_scaleout_cycles(*size, *point) for size in sizes)))
     costed.sort(key=lambda pair: pair[1])
     return costed
 

@@ -72,6 +72,21 @@ def scaleout_runtime(
     return scaleup_runtime(tile, array_rows, array_cols)
 
 
+def _scaleout_cycles(
+    sr: int, sc: int, t: int, pr: int, pc: int, rows: int, cols: int
+) -> int:
+    """Eq. 4-6 on ints the caller has already validated.
+
+    The design-space search prices thousands of points per call, so this
+    kernel skips the argument checks and builds no tile mapping; it
+    equals :func:`scaleout_runtime` on valid input (the ``vectorized``
+    verify property pins that).
+    """
+    tile_sr = -(-sr // pr)
+    tile_sc = -(-sc // pc)
+    return (2 * rows + cols + t - 2) * -(-tile_sr // rows) * -(-tile_sc // cols)
+
+
 def degraded_scaleup_runtime(
     mapping: OperandMapping,
     array_rows: int,

@@ -10,15 +10,21 @@ The paper's search space for a fixed MAC budget ``N`` consists of
 For power-of-two budgets (all the paper uses) shapes are enumerated as
 powers of two; general budgets fall back to full factor-pair
 enumeration.
+
+Every search walks the one enumeration, :func:`_design_points`, and
+prices each point with integer Eq. 4-6 arithmetic; a
+:class:`CandidateConfig` is built only for the points a caller gets
+back.  Paper-sized spaces hold a few hundred points, so this scalar
+walk beats array code even before numpy's import is counted.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.analytical.runtime import mapping_utilization, scaleout_runtime
+from repro.analytical.runtime import _scaleout_cycles
 from repro.config.hardware import Dataflow
 from repro.errors import SearchError
 from repro.mapping.dims import OperandMapping, map_layer
@@ -113,6 +119,30 @@ def _partition_counts(total_macs: int, min_array_dim: int) -> Iterable[int]:
                 yield count
 
 
+def _design_points(
+    total_macs: int, min_array_dim: int
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Every ``(P_R, P_C, R, C)`` point of the space, in enumeration order.
+
+    Partition counts ascend, then grids, then array shapes.  Monolithic
+    configurations (the first block) are allowed any aspect ratio down
+    to one row/column; partitioned arrays respect the paper's floor.
+    Raises :class:`SearchError` on first use when the space is empty.
+    """
+    check_positive_int(total_macs, "total_macs")
+    check_positive_int(min_array_dim, "min_array_dim")
+    if total_macs < min_array_dim * min_array_dim:
+        raise SearchError(
+            f"empty design space for {total_macs} MACs with min dim {min_array_dim}"
+        )
+    for num_partitions in _partition_counts(total_macs, min_array_dim):
+        dim_floor = 1 if num_partitions == 1 else min_array_dim
+        shapes = _shapes(total_macs // num_partitions, dim_floor)
+        for grid_rows, grid_cols in partition_grids(num_partitions):
+            for rows, cols in shapes:
+                yield grid_rows, grid_cols, rows, cols
+
+
 @functools.lru_cache(maxsize=512)
 def _cached_layer_mapping(layer: Layer, dataflow: Dataflow) -> OperandMapping:
     """Memoized Table III lookup: the mapping depends only on
@@ -133,6 +163,26 @@ def _as_mapping(workload: Union[Layer, OperandMapping], dataflow: Dataflow) -> O
     return _cached_layer_mapping(workload, dataflow)
 
 
+def _candidate(
+    mapping: OperandMapping, grid_rows: int, grid_cols: int, rows: int, cols: int
+) -> CandidateConfig:
+    """Materialize one point: Eq. 5/6 runtime and the tile's utilization."""
+    tile_sr = -(-mapping.sr // grid_rows)
+    tile_sc = -(-mapping.sc // grid_cols)
+    folds = -(-tile_sr // rows) * -(-tile_sc // cols)
+    return CandidateConfig(
+        partition_rows=grid_rows,
+        partition_cols=grid_cols,
+        array_rows=rows,
+        array_cols=cols,
+        runtime=_scaleout_cycles(
+            mapping.sr, mapping.sc, mapping.t, grid_rows, grid_cols, rows, cols
+        ),
+        utilization=tile_sr * tile_sc / (folds * rows * cols),
+        dataflow=mapping.dataflow,
+    )
+
+
 def search_space(
     workload: Union[Layer, OperandMapping],
     total_macs: int,
@@ -145,41 +195,11 @@ def search_space(
     including the monolithic (1x1 grid) points.  Runtime is the
     analytical Eq. 5/6 stall-free value.
     """
-    check_positive_int(total_macs, "total_macs")
     mapping = _as_mapping(workload, dataflow)
-    candidates: List[CandidateConfig] = []
-    for num_partitions in _partition_counts(total_macs, min_array_dim):
-        macs_per_array = total_macs // num_partitions
-        # Monolithic configurations are allowed any aspect ratio down to
-        # one row/column; partitioned arrays respect the paper's floor.
-        dim_floor = 1 if num_partitions == 1 else min_array_dim
-        shapes = _shapes(macs_per_array, dim_floor)
-        for grid_rows, grid_cols in partition_grids(num_partitions):
-            tile = OperandMapping(
-                sr=-(-mapping.sr // grid_rows),
-                sc=-(-mapping.sc // grid_cols),
-                t=mapping.t,
-                dataflow=mapping.dataflow,
-            )
-            for rows, cols in shapes:
-                runtime = scaleout_runtime(mapping, grid_rows, grid_cols, rows, cols)
-                util = mapping_utilization(tile, rows, cols)
-                candidates.append(
-                    CandidateConfig(
-                        partition_rows=grid_rows,
-                        partition_cols=grid_cols,
-                        array_rows=rows,
-                        array_cols=cols,
-                        runtime=runtime,
-                        utilization=util,
-                        dataflow=dataflow,
-                    )
-                )
-    if not candidates:
-        raise SearchError(
-            f"empty design space for {total_macs} MACs with min dim {min_array_dim}"
-        )
-    return candidates
+    return [
+        _candidate(mapping, *point)
+        for point in _design_points(total_macs, min_array_dim)
+    ]
 
 
 def best_scaleup(
@@ -188,23 +208,20 @@ def best_scaleup(
     dataflow: Dataflow = Dataflow.OUTPUT_STATIONARY,
     min_dim: int = 1,
 ) -> CandidateConfig:
-    """The fastest monolithic configuration for one workload (Sec. III-B)."""
+    """The fastest monolithic configuration for one workload (Sec. III-B).
+
+    The first shape with the minimum runtime wins.
+    """
     mapping = _as_mapping(workload, dataflow)
-    best: Optional[CandidateConfig] = None
+    sr, sc, t = mapping.sr, mapping.sc, mapping.t
+    best: Optional[Tuple[int, int]] = None
+    best_runtime = 0
     for rows, cols in array_shapes(num_macs, min_dim):
-        runtime = scaleout_runtime(mapping, 1, 1, rows, cols)
-        if best is None or runtime < best.runtime:
-            best = CandidateConfig(
-                partition_rows=1,
-                partition_cols=1,
-                array_rows=rows,
-                array_cols=cols,
-                runtime=runtime,
-                utilization=mapping_utilization(mapping, rows, cols),
-                dataflow=dataflow,
-            )
+        runtime = _scaleout_cycles(sr, sc, t, 1, 1, rows, cols)
+        if best is None or runtime < best_runtime:
+            best, best_runtime = (rows, cols), runtime
     assert best is not None  # array_shapes raised otherwise
-    return best
+    return _candidate(mapping, 1, 1, *best)
 
 
 def best_scaleout(
@@ -218,20 +235,27 @@ def best_scaleout(
 
     By default the monolithic point is excluded (Fig. 10 compares best
     scale-up *against* best scale-out); pass ``include_monolithic=True``
-    to search the whole space.
+    to search the whole space.  The first point in enumeration order
+    with the least ``(runtime, num_partitions)`` wins.
     """
-    candidates = search_space(workload, total_macs, dataflow, min_array_dim)
-    pool = [
-        cand
-        for cand in candidates
-        if include_monolithic or not cand.is_monolithic
-    ]
-    if not pool:
+    mapping = _as_mapping(workload, dataflow)
+    sr, sc, t = mapping.sr, mapping.sc, mapping.t
+    best: Optional[Tuple[int, int, int, int]] = None
+    best_key = (0, 0)
+    for point in _design_points(total_macs, min_array_dim):
+        grid_rows, grid_cols, rows, cols = point
+        num_partitions = grid_rows * grid_cols
+        if num_partitions == 1 and not include_monolithic:
+            continue
+        key = (_scaleout_cycles(sr, sc, t, grid_rows, grid_cols, rows, cols), num_partitions)
+        if best is None or key < best_key:
+            best, best_key = point, key
+    if best is None:
         raise SearchError(
             f"no partitioned configuration exists for {total_macs} MACs "
             f"with arrays at least {min_array_dim}x{min_array_dim}"
         )
-    return min(pool, key=lambda cand: (cand.runtime, cand.num_partitions))
+    return _candidate(mapping, *best)
 
 
 def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:

@@ -276,6 +276,22 @@ def _sweep_ledger(args: argparse.Namespace):
     return SweepLedger(ledger_dir, version=version)
 
 
+def _at_least_one(value: int, flag: str) -> int:
+    """``value`` of a numeric flag, or the one-line usage error naming it."""
+    if value < 1:
+        raise SystemExit(f"invalid {flag} {value}; expected at least 1")
+    return value
+
+
+def _parse_counts(text: str, flag: str) -> List[int]:
+    """A comma-separated list of counts, each at least 1."""
+    try:
+        counts = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise SystemExit(f"invalid {flag} {text!r}; expected e.g. 1,4,16") from None
+    return [_at_least_one(count, flag) for count in counts]
+
+
 def _parse_shape(text: str, what: str) -> Tuple[int, int]:
     try:
         rows_text, cols_text = text.lower().split("x")
@@ -350,7 +366,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.engine.simulator import Simulator
 
     network = _load_network(args)
-    if args.batch and args.batch > 1:
+    if _at_least_one(args.batch, "--batch") > 1:
         network = network.with_batch(args.batch)
     config = _build_config(args)
     if config.is_monolithic:
@@ -406,8 +422,7 @@ def _cmd_dram(args: argparse.Namespace) -> int:
     from repro.memory.bandwidth import compute_dram_traffic
     from repro.memory.buffers import BufferSet
 
-    if args.channels < 1:
-        raise SystemExit(f"invalid --channels {args.channels}; expected at least 1")
+    _at_least_one(args.channels, "--channels")
     network = _load_network(args)
     config = _build_config(args)
     if not config.is_monolithic:
@@ -439,6 +454,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from repro.analytical.multiworkload import WorkloadSet, pareto_search
     from repro.config.hardware import Dataflow
 
+    _at_least_one(args.macs, "--macs")
     network = _load_network(args)
     workloads = WorkloadSet(
         name=network.name,
@@ -483,7 +499,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit("--macs must be a power of two for the sweep")
     layer = _resolve_layer(args)
     candidates: List[int] = (
-        [int(p) for p in args.partitions.split(",")]
+        _parse_counts(args.partitions, "--partitions")
         if args.partitions
         else [4**i for i in range(8) if 4**i * 64 <= args.macs]
     )
@@ -584,6 +600,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
     if not is_power_of_two(args.macs):
         raise SystemExit("--macs must be a power of two for the sweep")
+    _at_least_one(args.partitions, "--partitions")
     layer = _resolve_layer(args)
     fault_map = _fault_map_from_args(args)
     if fault_map is not None:
@@ -913,6 +930,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     from repro.analytical.recommend import recommend_configuration
     from repro.config.hardware import Dataflow
 
+    _at_least_one(args.macs, "--macs")
     network = _load_network(args)
     workloads = WorkloadSet(
         name=network.name,

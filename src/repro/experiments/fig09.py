@@ -1,17 +1,17 @@
 """Fig. 9: the scale-up/scale-out design space for one layer.
 
-Both figures evaluate through the vectorized sweep compiler
-(:func:`repro.perf.compiler.compile_search_space`), whose materialized
-candidates are bit-identical to the scalar
-:func:`repro.analytical.search.search_space` — the blessed golden rows
-do not move.
+Both figures price the space with
+:func:`repro.analytical.search.search_space`: one scalar walk of the
+(partition grid, array shape) points with integer Eq. 4-6 arithmetic.
+TF0's space holds 16-292 points over the paper's budgets, so the walk
+costs milliseconds and the command loads no numpy.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.perf.compiler import compile_search_space
+from repro.analytical.search import search_space
 from repro.experiments.common import PAPER_MAC_BUDGETS
 from repro.topology.layer import Layer
 from repro.workloads.language import language_layer
@@ -26,9 +26,7 @@ def fig09a_search_space(
     layer = layer or language_layer("TF0")
     rows: List[Dict] = []
     for budget in budgets:
-        space = compile_search_space(
-            layer, budget, min_array_dim=min_array_dim
-        ).candidates()
+        space = search_space(layer, budget, min_array_dim=min_array_dim)
         worst = max(cand.runtime for cand in space)
         for cand in space:
             rows.append(
@@ -51,9 +49,7 @@ def fig09bc_aspect_sweep(
 ) -> List[Dict]:
     """Monolithic aspect-ratio sweep with utilization (Fig. 9b/c)."""
     layer = layer or language_layer("TF0")
-    space = compile_search_space(
-        layer, budget, min_array_dim=min_array_dim
-    ).candidates()
+    space = search_space(layer, budget, min_array_dim=min_array_dim)
     mono = [cand for cand in space if cand.is_monolithic]
     return [
         {

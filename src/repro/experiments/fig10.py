@@ -1,18 +1,16 @@
 """Fig. 10: best scale-up vs best scale-out runtime ratios.
 
-The optima come from the vectorized compiler selectors, which
-reproduce the scalar tie-breaking exactly (equivalence is pinned by
-tests), so every row matches the pre-compiler output bit for bit.
+The optima come from the scalar selectors in
+:mod:`repro.analytical.search`, which price each point with integer
+Eq. 4-6 arithmetic and materialize only the winner; the command loads
+no numpy.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from repro.perf.compiler import (
-    best_scaleout_compiled as best_scaleout,
-    best_scaleup_compiled as best_scaleup,
-)
+from repro.analytical.search import best_scaleout, best_scaleup
 from repro.topology.layer import Layer
 from repro.workloads.language import TABLE_IV_DIMS, language_layer
 from repro.workloads.resnet50 import fig10_resnet_layers

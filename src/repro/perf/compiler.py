@@ -27,9 +27,10 @@ counters account for every decision:
 
 Everything here is bit-identical to the scalar reference:
 ``CompiledSpace.candidates()`` equals ``search_space(...)`` element for
-element, and the compiled best-config selectors reproduce the scalar
-tie-breaking exactly (first minimum for scale-up, ``(runtime,
-num_partitions)`` lexicographic first-minimum for scale-out).
+element, and ``CompiledSpace.best_index`` picks the point
+``best_scaleout`` does (the ``(runtime, num_partitions)`` first
+minimum).  The figures and ``repro search`` price through the scalar
+selectors, which beat these arrays on every paper-sized space.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - hint-only import
     from repro.robust.checkpoint import PointJournal
 
-from repro.analytical.search import (
-    CandidateConfig,
-    _as_mapping,
-    _partition_counts,
-    _shapes,
-    partition_grids,
-)
+from repro.analytical.search import CandidateConfig, _as_mapping, _design_points
 from repro.analytical.vectorized import (
     ceil_div_v,
     estimate_traffic_v,
@@ -61,7 +56,6 @@ from repro.errors import SearchError
 from repro.mapping.dims import OperandMapping
 from repro.obs import metrics
 from repro.topology.layer import Layer
-from repro.utils.validation import check_positive_int
 
 #: Default engine budget of the pruned frontier: the k analytically
 #: fastest points always simulate ...
@@ -125,9 +119,9 @@ class CompiledSpace:
         """Index of the scalar-identical best point.
 
         ``np.lexsort`` is stable, so the first row of the ``(runtime,
-        num_partitions)`` ordering is exactly what
-        ``min(pool, key=lambda c: (c.runtime, c.num_partitions))``
-        picks in enumeration order.
+        num_partitions)`` ordering is the first minimum in enumeration
+        order, which is the point
+        :func:`repro.analytical.search.best_scaleout` picks.
         """
         parts = self.num_partitions
         eligible = np.ones(len(self), dtype=bool)
@@ -247,41 +241,20 @@ def compile_search_space(
 ) -> CompiledSpace:
     """Compile the full scale-up + scale-out space into columnar arrays.
 
-    The enumeration loops mirror
-    :func:`repro.analytical.search.search_space` exactly (same order,
-    same dimension floors); only the per-point Eq. 5/6 evaluation is
+    The points come from the scalar search's own enumeration
+    (:func:`repro.analytical.search._design_points`: same order, same
+    dimension floors); only the per-point Eq. 5/6 evaluation is
     replaced by vectorized kernels, so ``.candidates()`` is
     element-for-element equal to the scalar result.
     """
-    check_positive_int(total_macs, "total_macs")
+    points = list(_design_points(total_macs, min_array_dim))
     mapping = _as_mapping(workload, dataflow)
-    pr_list: List[int] = []
-    pc_list: List[int] = []
-    rows_list: List[int] = []
-    cols_list: List[int] = []
-    for num_partitions in _partition_counts(total_macs, min_array_dim):
-        macs_per_array = total_macs // num_partitions
-        dim_floor = 1 if num_partitions == 1 else min_array_dim
-        shapes = _shapes(macs_per_array, dim_floor)
-        for grid_rows, grid_cols in partition_grids(num_partitions):
-            for rows, cols in shapes:
-                pr_list.append(grid_rows)
-                pc_list.append(grid_cols)
-                rows_list.append(rows)
-                cols_list.append(cols)
-    if not pr_list:
-        raise SearchError(
-            f"empty design space for {total_macs} MACs with min dim {min_array_dim}"
-        )
-    pr = np.array(pr_list, dtype=np.int64)
-    pc = np.array(pc_list, dtype=np.int64)
-    rows = np.array(rows_list, dtype=np.int64)
-    cols = np.array(cols_list, dtype=np.int64)
+    pr, pc, rows, cols = (np.array(column, dtype=np.int64) for column in zip(*points))
     tile_sr = ceil_div_v(mapping.sr, pr)
     tile_sc = ceil_div_v(mapping.sc, pc)
     runtime = scaleup_runtime_v(tile_sr, tile_sc, mapping.t, rows, cols)
     utilization = mapping_utilization_v(tile_sr, tile_sc, rows, cols)
-    metrics.counter("perf.compiler.points").add(len(pr_list))
+    metrics.counter("perf.compiler.points").add(len(points))
     return CompiledSpace(
         mapping=mapping,
         total_macs=total_macs,
@@ -293,52 +266,6 @@ def compile_search_space(
         runtime=runtime,
         utilization=utilization,
     )
-
-
-def best_scaleup_compiled(
-    workload: Union[Layer, OperandMapping],
-    num_macs: int,
-    dataflow: Dataflow = Dataflow.OUTPUT_STATIONARY,
-    min_dim: int = 1,
-) -> CandidateConfig:
-    """Vectorized :func:`repro.analytical.search.best_scaleup`.
-
-    ``np.argmin`` returns the first minimum, matching the scalar
-    strict-``<`` scan over the same shape enumeration.
-    """
-    from repro.analytical.search import array_shapes
-
-    mapping = _as_mapping(workload, dataflow)
-    shapes = array_shapes(num_macs, min_dim)
-    rows = np.array([shape[0] for shape in shapes], dtype=np.int64)
-    cols = np.array([shape[1] for shape in shapes], dtype=np.int64)
-    runtime = scaleup_runtime_v(mapping.sr, mapping.sc, mapping.t, rows, cols)
-    best = int(np.argmin(runtime))
-    return CandidateConfig(
-        partition_rows=1,
-        partition_cols=1,
-        array_rows=int(rows[best]),
-        array_cols=int(cols[best]),
-        runtime=int(runtime[best]),
-        utilization=float(
-            mapping_utilization_v(
-                mapping.sr, mapping.sc, rows[best], cols[best]
-            )
-        ),
-        dataflow=dataflow,
-    )
-
-
-def best_scaleout_compiled(
-    workload: Union[Layer, OperandMapping],
-    total_macs: int,
-    dataflow: Dataflow = Dataflow.OUTPUT_STATIONARY,
-    min_array_dim: int = 8,
-    include_monolithic: bool = False,
-) -> CandidateConfig:
-    """Vectorized :func:`repro.analytical.search.best_scaleout`."""
-    space = compile_search_space(workload, total_macs, dataflow, min_array_dim)
-    return space.candidate(space.best_index(include_monolithic=include_monolithic))
 
 
 def frontier_indices(

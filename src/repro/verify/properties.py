@@ -17,8 +17,9 @@ model predicts the absolute numbers:
 * ``cache_identity`` — memoized, cold and cache-disabled runs are
   identical across dataflows;
 * ``vectorized`` — the numpy sweep-compiler kernels
-  (:mod:`repro.analytical.vectorized`) are bit-identical to the scalar
-  analytical model (rel_tol 0);
+  (:mod:`repro.analytical.vectorized`) and the compiled design space
+  are bit-identical to the scalar analytical model and the scalar
+  design-space search (rel_tol 0);
 * ``fold_runs`` — the closed-form fold runs of a layer's DRAM traffic
   (:func:`repro.memory.bandwidth.compute_dram_traffic`) equal the
   fold-by-fold reference walk on every field, with both loop orders;
@@ -49,7 +50,7 @@ from repro.dram.simulator import DramSimulator, DramStats
 from repro.dram.timing import DramTiming
 from repro.engine.simulator import Simulator
 from repro.engine.tracefiles import dram_request_stream
-from repro.errors import ConfigError, ReproError, TopologyError
+from repro.errors import ConfigError, ReproError, SearchError, TopologyError
 from repro.memory.bandwidth import compute_dram_traffic
 from repro.perf.cache import cache
 from repro.topology.network import Network
@@ -254,13 +255,21 @@ def prop_vectorized(case: VerifyCase) -> List[Violation]:
     pins every kernel — Eq. 4/5/6 runtime, mapping utilization, the
     exact edge-fold cycle count, Table III batch mapping and the
     per-operand closed-form traffic — to its scalar twin with rel_tol 0
-    on the fuzzer's boundary-biased cases.
+    on the fuzzer's boundary-biased cases.  At the case's total MACs,
+    with arrays floored at the case's smaller array edge, it also pins
+    the one design-space pricer: the compiled space equals
+    :func:`~repro.analytical.search.search_space`, its ``best_index``
+    picks what :func:`~repro.analytical.search.best_scaleout` picks (or
+    both raise :class:`~repro.errors.SearchError`), and the unchecked
+    search kernel equals :func:`scaleout_runtime`.
     """
     from repro.analytical.runtime import (
+        _scaleout_cycles,
         mapping_utilization,
         scaleout_runtime,
         scaleup_runtime,
     )
+    from repro.analytical.search import best_scaleout, search_space
     from repro.analytical.traffic import estimate_traffic
     from repro.analytical.vectorized import (
         estimate_traffic_v,
@@ -271,6 +280,7 @@ def prop_vectorized(case: VerifyCase) -> List[Violation]:
     from repro.config.hardware import Dataflow
     from repro.mapping.dims import map_gemm_batch
     from repro.memory.buffers import BufferSet
+    from repro.perf.compiler import compile_search_space
 
     mapping = case.mapping()
     sr, sc, t = mapping.sr, mapping.sc, mapping.t
@@ -313,6 +323,30 @@ def prop_vectorized(case: VerifyCase) -> List[Violation]:
         "mapping_utilization",
         mapping_utilization(mapping, rows, cols),
         float(mapping_utilization_v(sr, sc, rows, cols)),
+    )
+    grid = (case.partition_rows, case.partition_cols)
+    expect(
+        "_scaleout_cycles",
+        scaleout_runtime(mapping, *grid, rows, cols),
+        _scaleout_cycles(sr, sc, t, *grid, rows, cols),
+    )
+
+    # Floored at the case's smaller array edge, the space holds the
+    # case's own point, so it is never empty.
+    space_args = (mapping, case.config().total_macs, mapping.dataflow, min(rows, cols))
+    space = compile_search_space(*space_args)
+    expect("search_space", search_space(*space_args), space.candidates())
+
+    def best(select: Callable[[], object]) -> object:
+        try:
+            return select()
+        except SearchError as exc:
+            return f"SearchError: {exc}"
+
+    expect(
+        "best_scaleout",
+        best(lambda: best_scaleout(*space_args)),
+        best(lambda: space.candidate(space.best_index(include_monolithic=False))),
     )
 
     buffers = BufferSet.from_config(case.scaleup_config())

@@ -13,6 +13,7 @@ from repro.analytical.search import (
 from repro.config.hardware import Dataflow
 from repro.errors import SearchError
 from repro.mapping.dims import map_layer
+from repro.perf.compiler import compile_search_space
 from repro.topology.layer import GemmLayer
 from repro.workloads.language import language_layer
 
@@ -109,3 +110,14 @@ class TestBestScaleout:
     def test_budget_too_small_for_partitions(self):
         with pytest.raises(SearchError):
             best_scaleout(LAYER, 64, min_array_dim=8)  # only 1 partition fits
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("min_array_dim", [0, -8])
+    @pytest.mark.parametrize(
+        "search", [search_space, best_scaleout, compile_search_space],
+        ids=["search_space", "best_scaleout", "compile_search_space"],
+    )
+    def test_min_array_dim_below_one_is_rejected(self, search, min_array_dim):
+        with pytest.raises(ValueError, match="min_array_dim"):
+            search(LAYER, 1024, min_array_dim=min_array_dim)

@@ -60,6 +60,18 @@ class TestRunCommand:
             (["run", "--workload", "NCF0", "--array", "0x64"], "--array"),
             (["run", "--workload", "NCF0", "--partitions", "0x2"], "--partitions"),
             (["dram", "--workload", "NCF0", "--array", "64x64", "--channels", "0"], "--channels"),
+            (["sweep", "--layer", "TF0", "--macs", "65536", "--partitions", "0,4"],
+             "--partitions"),
+            (["sweep", "--layer", "TF0", "--macs", "65536", "--partitions", "x,4"],
+             "--partitions"),
+            (["resilience", "--layer", "TF0", "--macs", "16384", "--partitions", "0"],
+             "--partitions"),
+            (["search", "--workload", "language-models", "--macs", "0"], "--macs"),
+            (["search", "--workload", "language-models", "--macs", "-4"], "--macs"),
+            (["recommend", "--workload", "NCF0", "--macs", "0"], "--macs"),
+            (["recommend", "--workload", "NCF0", "--macs", "-4"], "--macs"),
+            (["run", "--workload", "NCF0", "--array", "32x32", "--batch", "-2"], "--batch"),
+            (["run", "--workload", "NCF0", "--array", "32x32", "--batch", "0"], "--batch"),
         ],
     )
     def test_zero_size_is_a_usage_error(self, argv, flag):

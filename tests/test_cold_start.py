@@ -147,6 +147,21 @@ def test_simulating_commands_never_import_numpy(argv, tmp_path):
     assert _under(imported, "numpy") == []
 
 
+@pytest.mark.parametrize("argv", [
+    *(("reproduce", name) for name in (
+        "fig9a", "fig9b", "fig9c", "fig10a", "fig10b",
+        "fig13-language", "fig13-resnet", "fig14-language", "fig14-resnet",
+    )),
+    ("search", "--workload", "resnet50", "--macs", "16384", "--scaleout"),
+])
+def test_design_space_commands_price_without_arrays(argv):
+    # One scalar walk prices every (grid, array shape) point, so the
+    # search figures load neither numpy nor the sweep compiler.
+    imported = _imports_of(*argv)
+    assert "repro.analytical.search" in imported
+    assert _under(imported, "numpy", "repro.perf.compiler") == []
+
+
 def test_engine_sweep_and_daemon_job_path_load_no_numpy():
     from repro.serve.daemon import _JOB_PATH
 

@@ -13,8 +13,6 @@ from repro.engine.scaleout import simulate
 from repro.perf.compiler import (
     DEFAULT_PRUNE_BAND,
     DEFAULT_TOP_K,
-    best_scaleout_compiled,
-    best_scaleup_compiled,
     compile_search_space,
     frontier_indices,
     simulate_candidates,
@@ -57,16 +55,20 @@ class TestBitIdentity:
     @pytest.mark.parametrize("dataflow", list(Dataflow))
     def test_best_scaleup_identical(self, tf0, dataflow):
         for budget in BUDGETS:
-            assert best_scaleup_compiled(
+            space = compile_search_space(tf0, budget, dataflow=dataflow)
+            mono = [i for i in range(len(space)) if space.num_partitions[i] == 1]
+            first_min = min(mono, key=lambda i: space.runtime[i])
+            assert space.candidate(first_min) == best_scaleup(
                 tf0, budget, dataflow=dataflow
-            ) == best_scaleup(tf0, budget, dataflow=dataflow)
+            )
 
     @pytest.mark.parametrize("dataflow", list(Dataflow))
     def test_best_scaleout_identical(self, tf0, resnet_layer, dataflow):
         for layer in (tf0, resnet_layer):
             for budget in BUDGETS:
-                assert best_scaleout_compiled(
-                    layer, budget, dataflow=dataflow
+                space = compile_search_space(layer, budget, dataflow=dataflow)
+                assert space.candidate(
+                    space.best_index(include_monolithic=False)
                 ) == best_scaleout(layer, budget, dataflow=dataflow)
 
     def test_points_counter_accounts_space(self, tf0):
