@@ -75,12 +75,12 @@ def wait_healthy(client: ServiceClient, timeout: float = 30.0) -> dict:
 
 
 def stage_correlation(port: int) -> None:
-    client = ServiceClient(port=port, client_id="obs-smoke")
-    result = client.submit(REQUEST, max_retries=5,
-                           correlation_id=CORRELATION_ID)
+    with ServiceClient(port=port, client_id="obs-smoke") as client:
+        result = client.submit(REQUEST, max_retries=5,
+                               correlation_id=CORRELATION_ID)
+        minted = client.submit(REQUEST, max_retries=5)
     assert result["status"] == "ok", result
     assert result["correlation_id"] == CORRELATION_ID, result
-    minted = client.submit(REQUEST, max_retries=5)
     assert len(minted["correlation_id"]) == 16, minted
     assert minted["correlation_id"] != CORRELATION_ID
     print(f"correlation OK: caller id echoed, fresh id minted "
@@ -90,7 +90,8 @@ def stage_correlation(port: int) -> None:
 def stage_metrics(port: int) -> None:
     from repro.obs.service import parse_prometheus_text, sample_value
 
-    text = ServiceClient(port=port).metrics_text()
+    with ServiceClient(port=port) as client:
+        text = client.metrics_text()
     families = parse_prometheus_text(text)
 
     assert families["repro_serve_executed_total"]["type"] == "counter"
@@ -159,7 +160,8 @@ def main() -> int:
         port = free_port()
         daemon = start_daemon(flight_dir, port)
         try:
-            wait_healthy(ServiceClient(port=port))
+            with ServiceClient(port=port) as probe:
+                wait_healthy(probe)
             stage_correlation(port)
             stage_metrics(port)
             stage_flight_dump(daemon, flight_dir)

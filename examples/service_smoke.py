@@ -62,8 +62,8 @@ def stage_singleflight(port: int) -> None:
     results = {}
 
     def fire(name: str) -> None:
-        client = ServiceClient(port=port, client_id=name)
-        results[name] = client.submit(REQUEST, max_retries=5)
+        with ServiceClient(port=port, client_id=name) as client:
+            results[name] = client.submit(REQUEST, max_retries=5)
 
     herd = [
         threading.Thread(target=fire, args=(f"client-{i}",)) for i in range(CLIENTS)
@@ -78,7 +78,8 @@ def stage_singleflight(port: int) -> None:
     assert first["total_cycles"] == second["total_cycles"], "answers diverged"
     assert first["key"] == second["key"], "identical requests keyed differently"
 
-    counters = ServiceClient(port=port).health()["counters"]
+    with ServiceClient(port=port) as client:
+        counters = client.health()["counters"]
     handled = counters["executed"] + counters["singleflight_joined"]
     assert handled == CLIENTS, f"requests unaccounted for in {counters}"
     print(f"single-flight OK: executed={counters['executed']} "
@@ -96,7 +97,8 @@ def main() -> int:
     port = free_port()
     daemon = start_daemon(port)
     try:
-        wait_healthy(ServiceClient(port=port))
+        with ServiceClient(port=port) as probe:
+            wait_healthy(probe)
         stage_singleflight(port)
         stage_sigterm(daemon)
     finally:

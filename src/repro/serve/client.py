@@ -1,8 +1,14 @@
 """Thin client for the simulation daemon (``repro submit``).
 
 Stdlib-only JSON-over-HTTP against either the daemon's localhost TCP
-port or its unix domain socket.  Back-pressure is a first-class
-outcome: a 429/503 raises
+port or its unix domain socket.  Each calling thread keeps one
+HTTP/1.1 connection open and reuses it for every request; a reused
+connection the daemon has closed in the meantime (idle timeout,
+restart) is replaced once, transparently, when no byte of the response
+arrived.  :meth:`ServiceClient.close` (or a ``with`` block) closes every
+connection the client holds.
+
+Back-pressure is a first-class outcome: a 429/503 raises
 :class:`~repro.errors.ServiceUnavailableError` carrying the server's
 ``Retry-After`` hint, and :meth:`ServiceClient.submit` can optionally
 honour it with a bounded retry loop — the polite client the admission
@@ -14,6 +20,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 from typing import Dict, Optional, Tuple
 
@@ -21,6 +28,11 @@ from repro.errors import ServiceError, ServiceUnavailableError
 from repro.obs.service import CORRELATION_HEADER, new_correlation_id
 
 DEFAULT_PORT = 8787
+
+#: How a reused connection fails when the daemon closed it before
+#: answering: the send hits a closed peer, or the status line never
+#: comes (``http.client.RemoteDisconnected`` is a ConnectionResetError).
+_STALE = (BrokenPipeError, ConnectionResetError)
 
 
 class _UnixHTTPConnection(http.client.HTTPConnection):
@@ -42,7 +54,8 @@ class ServiceClient:
 
     ``client_id`` feeds the server's per-client quota accounting; give
     each cooperating process its own id so one greedy client cannot
-    starve the rest.
+    starve the rest.  One client may be shared by many threads: each
+    gets a connection of its own.
     """
 
     def __init__(
@@ -58,11 +71,70 @@ class ServiceClient:
         self.socket_path = socket_path
         self.client_id = client_id
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._connections: Dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, made on its first request."""
+        thread = threading.current_thread()
+        connection = self._connections.get(thread)
+        if connection is not None:
+            return connection
         if self.socket_path:
-            return _UnixHTTPConnection(self.socket_path, timeout=self.timeout)
-        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            connection = _UnixHTTPConnection(self.socket_path, timeout=self.timeout)
+        else:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        with self._lock:
+            # a thread that has ended leaves its connection behind
+            for gone in [t for t in self._connections if not t.is_alive()]:
+                self._connections.pop(gone).close()
+            self._connections[thread] = connection
+        return connection
+
+    def _exchange(
+        self, method: str, path: str, payload: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, Dict, bytes]:
+        """One round trip on the calling thread's connection.
+
+        Returns ``(status, headers, raw_body)``; raises ServiceError on
+        transport failures.
+        """
+        connection = self._connection()
+        reused = connection.sock is not None
+        try:
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+            except _STALE:
+                connection.close()
+                if not reused:
+                    raise
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+            return response.status, dict(response.headers), response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            where = self.socket_path or f"{self.host}:{self.port}"
+            raise ServiceError(f"cannot reach daemon at {where}: {exc}") from exc
+        except BaseException:
+            connection.close()  # an interrupted exchange leaves it mid-response
+            raise
 
     def _request(
         self,
@@ -73,31 +145,22 @@ class ServiceClient:
     ) -> Tuple[int, Dict, Dict]:
         """Returns ``(status, headers, parsed_body)``; raises ServiceError
         on transport failures or non-JSON responses."""
-        connection = self._connection()
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"X-Repro-Client": self.client_id}
+        if correlation_id:
+            headers[CORRELATION_HEADER] = correlation_id
+        if payload is not None:
+            headers["Content-Type"] = "application/json"
+        status, response_headers, raw = self._exchange(method, path, payload, headers)
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"X-Repro-Client": self.client_id}
-            if correlation_id:
-                headers[CORRELATION_HEADER] = correlation_id
-            if payload is not None:
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            try:
-                parsed = json.loads(raw) if raw else {}
-            except json.JSONDecodeError as exc:
-                raise ServiceError(
-                    f"daemon returned non-JSON body for {method} {path}: {exc}"
-                ) from exc
-            if not isinstance(parsed, dict):
-                raise ServiceError(f"daemon returned non-object body for {method} {path}")
-            return response.status, dict(response.headers), parsed
-        except (OSError, http.client.HTTPException) as exc:
-            where = self.socket_path or f"{self.host}:{self.port}"
-            raise ServiceError(f"cannot reach daemon at {where}: {exc}") from exc
-        finally:
-            connection.close()
+            parsed = json.loads(raw) if raw else {}
+        except json.JSONDecodeError as exc:
+            raise ServiceError(
+                f"daemon returned non-JSON body for {method} {path}: {exc}"
+            ) from exc
+        if not isinstance(parsed, dict):
+            raise ServiceError(f"daemon returned non-object body for {method} {path}")
+        return status, response_headers, parsed
 
     # ------------------------------------------------------------------
     # Public API
@@ -110,21 +173,12 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The daemon's raw Prometheus exposition (``GET /metrics``)."""
-        connection = self._connection()
-        try:
-            connection.request(
-                "GET", "/metrics", headers={"X-Repro-Client": self.client_id}
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                raise ServiceError(f"metrics scrape failed with HTTP {response.status}")
-            return raw.decode()
-        except (OSError, http.client.HTTPException) as exc:
-            where = self.socket_path or f"{self.host}:{self.port}"
-            raise ServiceError(f"cannot reach daemon at {where}: {exc}") from exc
-        finally:
-            connection.close()
+        status, _headers, raw = self._exchange(
+            "GET", "/metrics", None, {"X-Repro-Client": self.client_id}
+        )
+        if status != 200:
+            raise ServiceError(f"metrics scrape failed with HTTP {status}")
+        return raw.decode()
 
     def submit(
         self,

@@ -78,6 +78,31 @@ class TestRunCommand:
         with pytest.raises(SystemExit, match=flag):
             main(argv)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["run", "--workload", "mobilenet", "--array", "32x32"],
+             ["--workload 'mobilenet'", "available:", "mobilenet-v1", "TF0"]),
+            (["dram", "--workload", "mobilenet", "--array", "32x32"],
+             ["--workload 'mobilenet'", "available:", "mobilenet-v1"]),
+            (["recommend", "--workload", "mobilenet", "--macs", "4096"],
+             ["--workload 'mobilenet'", "available:", "mobilenet-v1"]),
+            (["sweep", "--layer", "CB2a_3", "--workload", "mobilenet", "--macs", "65536"],
+             ["--workload 'mobilenet'", "available:", "mobilenet-v1"]),
+            (["sweep", "--layer", "TF0", "--macs", "65536", "--top-k", "-1"],
+             ["invalid --top-k -1"]),
+            (["sweep", "--layer", "TF0", "--macs", "65536", "--prune-band", "-0.5"],
+             ["invalid --prune-band -0.5"]),
+        ],
+    )
+    def test_bad_value_is_a_one_line_usage_error(self, argv, expected):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        for part in expected:
+            assert part in message
+
     def test_dataflow_override(self, capsys):
         assert main(["run", "--workload", "TF1", "--array", "16x16", "--dataflow", "ws"]) == 0
         assert "ws" in capsys.readouterr().out

@@ -170,8 +170,8 @@ def _raise_service_unavailable_error():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        client = ServiceClient(host="127.0.0.1", port=server.server_address[1])
-        client.submit({"kind": "gemm", "m": 8, "k": 8, "n": 8})
+        with ServiceClient(host="127.0.0.1", port=server.server_address[1]) as client:
+            client.submit({"kind": "gemm", "m": 8, "k": 8, "n": 8})
     finally:
         server.shutdown()
         server.server_close()
