@@ -381,6 +381,21 @@ def _build_config(args: argparse.Namespace) -> HardwareConfig:
     return config
 
 
+def _single_array_config(args: argparse.Namespace, scope: str) -> HardwareConfig:
+    """The config of a command that has no --partitions flag.
+
+    Its partition grid can only come from the ``-c`` INI file, so a grid
+    other than 1x1 is named as the config's.
+    """
+    config = _build_config(args)
+    if not config.is_monolithic:
+        raise SystemExit(
+            f"{scope}; the config's {config.partition_rows}x{config.partition_cols} "
+            "partition grid must be 1x1"
+        )
+    return config
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.engine.reports import render_report, write_report_csv
     from repro.engine.scaleout import ScaleOutSimulator
@@ -412,9 +427,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.memory.buffers import BufferSet
 
     network = _load_network(args)
-    config = _build_config(args)
-    if not config.is_monolithic:
-        raise SystemExit("analyze estimates single arrays; drop --partitions")
+    config = _single_array_config(args, "analyze estimates single arrays")
     buffers = BufferSet.from_config(config)
     print(f"# analytical estimates, {config.describe()}")
     print(f"{'layer':16s} {'eq4_cycles':>12s} {'dram_rd_B':>12s} {'dram_wr_B':>12s} {'avg_bw':>8s}")
@@ -445,9 +458,7 @@ def _cmd_dram(args: argparse.Namespace) -> int:
 
     _at_least_one(args.channels, "--channels")
     network = _load_network(args)
-    config = _build_config(args)
-    if not config.is_monolithic:
-        raise SystemExit("dram replays single-array traces; drop --partitions")
+    config = _single_array_config(args, "dram replays single-array traces")
     simulator = Simulator(config)
     timing = DramTiming(num_channels=args.channels)
     device = DramSimulator(timing)

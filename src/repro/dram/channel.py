@@ -10,8 +10,9 @@ Two implementations of the same scheduler live here:
 
 * :func:`service_columns` runs in production: :class:`DramSimulator`
   hands it one channel's requests as columns (cycle, bank, row,
-  is_write) and it returns only the sums the statistics need, keeping
-  the reorder window as a short list of indices;
+  is_write) and it returns only the sums the statistics need.  It
+  checks a request for a row hit when a pick first reaches it and again
+  only after a miss opens a row, since hits change no open row;
 * :class:`Channel` is the scalar reference: one object per request, the
   whole queue as a list.  It is the readable statement of the timing
   rules, and the tests and the ``dram`` verify property hold the
@@ -157,15 +158,21 @@ def service_columns(
 ) -> ChannelTotals:
     """Service one channel's requests, given as columns sorted by arrival.
 
-    Bit-identical to :meth:`Channel.service` on the same requests: the
-    pending queue is ``pending`` (the oldest ``window`` indices) followed
-    by the unread indices from ``cursor`` on, so picking in ``pending``
-    is picking in the queue's reorder window.  Bank state is kept in
-    flat per-bank lists.  With ``latencies`` given, each request's
-    latency is appended to it in service order.
+    Bit-identical to :meth:`Channel.service` on the same requests.  The
+    reorder window (the oldest ``window`` unserved requests) is
+    ``skipped``, the requests earlier picks examined and found to be
+    row misses, in arrival order, followed by the unexamined requests
+    from ``cursor`` on.  A request's hit status changes only when a miss
+    opens a row, so each request is checked once when a pick first
+    reaches it and once more after each miss while it waits, not once
+    per pick.  Bank state is kept in flat per-bank lists.  With
+    ``latencies`` given, each request's latency is appended to it in
+    service order.
     """
     t_cl, t_rcd, t_rp, t_ras = timing.t_cl, timing.t_rcd, timing.t_rp, timing.t_ras
-    t_burst, t_refi, t_rfc, t_wtr = timing.t_burst, timing.t_refi, timing.t_rfc, timing.t_wtr
+    t_burst, t_wtr = timing.t_burst, timing.t_wtr
+    # With refresh off, c % 1 < 0 holds for no cycle c: no blackouts.
+    t_refi, t_rfc = (timing.t_refi, timing.t_rfc) if timing.t_refi else (1, 0)
     open_row: List[Optional[int]] = [None] * timing.banks_per_channel
     ready = [0] * timing.banks_per_channel
     activated = [0] * timing.banks_per_channel
@@ -174,34 +181,57 @@ def service_columns(
     row_hits = finish_sum = 0
 
     count = len(cycles)
-    pending = list(range(min(max(1, window), count)))
-    cursor = len(pending)
+    window = max(1, window)
+    skipped: List[int] = []
+    waiting = 0  # len(skipped)
+    checked = 0  # skipped[:checked] are misses under the open rows
+    cursor = 0
     for _ in range(count):
         # FR-FCFS pick, as Channel._pick: the first row hit among the
         # window's requests that arrived by the horizon, else the head.
-        index = pending[0]
+        # Skipped requests arrived by an earlier horizon and the horizon
+        # never falls, so the first one a miss turned into a hit goes next.
+        index = -1
+        while checked < waiting:
+            other = skipped[checked]
+            if open_row[banks[other]] == rows[other]:
+                index = other
+                del skipped[checked]
+                waiting -= 1
+                break
+            checked += 1
+        if index < 0:
+            horizon = cycles[skipped[0]] if waiting else cycles[cursor]
+            if bus_free > horizon:
+                horizon = bus_free
+            # Examine unread requests until a hit, a later arrival or a
+            # full window; the misses passed over join ``skipped``.
+            stop = cursor + window - waiting
+            if stop > count:
+                stop = count
+            while cursor < stop:
+                if cycles[cursor] > horizon:
+                    break
+                if open_row[banks[cursor]] == rows[cursor]:
+                    index = cursor
+                    cursor += 1
+                    break
+                skipped.append(cursor)
+                waiting += 1
+                cursor += 1
+            checked = waiting
+            if index < 0:
+                index = skipped.pop(0)
+                waiting -= 1
         bank, row = banks[index], rows[index]
-        if open_row[bank] != row:
-            horizon = bus_free if bus_free > cycles[index] else cycles[index]
-            for other in pending:
-                if cycles[other] > horizon:
-                    break
-                if open_row[banks[other]] == rows[other]:
-                    index = other
-                    bank, row = banks[index], rows[index]
-                    break
-        pending.remove(index)
-        if cursor < count:
-            pending.append(cursor)
-            cursor += 1
 
         # Execute, as Channel._execute.  A refresh skip moves a cycle c
-        # with c >= t_refi and c % t_refi < t_rfc to the blackout's end.
+        # with c % t_refi < t_rfc and c >= t_refi to the blackout's end.
         cycle, is_write = cycles[index], writes[index]
         start = ready[bank]
         if cycle > start:
             start = cycle
-        if t_refi and start >= t_refi and start % t_refi < t_rfc:
+        if start % t_refi < t_rfc and start >= t_refi:
             start += t_rfc - start % t_refi
         opened = open_row[bank]
         if opened == row:
@@ -213,15 +243,16 @@ def service_columns(
                     start = precharge
                 start += t_rp
             start += t_rcd
-            if t_refi and start >= t_refi and start % t_refi < t_rfc:
+            if start % t_refi < t_rfc and start >= t_refi:
                 start += t_rfc - start % t_refi
             open_row[bank] = row
             activated[bank] = start
+            checked = 0
         data_start = start + t_cl
         bus_ready = bus_free + t_wtr if last_was_write and not is_write else bus_free
         if bus_ready > data_start:
             data_start = bus_ready
-        if t_refi and data_start >= t_refi and data_start % t_refi < t_rfc:
+        if data_start % t_refi < t_rfc and data_start >= t_refi:
             data_start += t_rfc - data_start % t_refi
         bus_free = data_start + t_burst
         last_was_write = is_write

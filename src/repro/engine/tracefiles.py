@@ -14,6 +14,7 @@ Two artifacts are produced:
 
 from __future__ import annotations
 
+import gc
 from itertools import repeat
 from pathlib import Path
 from typing import Iterator, List, Tuple, Union
@@ -68,16 +69,21 @@ def dram_request_stream(
     if line_bytes <= 0:
         raise ValueError(f"line_bytes must be positive, got {line_bytes}")
     with trace.span("dram.stream") as span:
+        columns = _request_columns(traffic, layout, line_bytes)
         # Cycles sum fold lengths and addresses are ``offset + line_bytes
         # * j``, so the records skip DramAccess's per-record check (the
-        # replay checks its columns) and are built at C speed.
-        events = list(
-            map(
-                tuple.__new__,
-                repeat(DramAccess),
-                zip(*_request_columns(traffic, layout, line_bytes)),
-            )
-        )
+        # replay checks its columns) and are built at C speed.  The
+        # cyclic collector is paused meanwhile: CPython never untracks a
+        # tuple-subclass instance, so each collection during the build
+        # would walk every record built so far, and a record holds only
+        # ints and a bool, so it can never be part of a reference cycle.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            events = list(map(tuple.__new__, repeat(DramAccess), zip(*columns)))
+        finally:
+            if collecting:
+                gc.enable()
         span.set(requests=len(events))
     return iter(events)
 

@@ -9,10 +9,11 @@ through it, journalling each completed point to an optional
 :class:`~repro.robust.checkpoint.CheckpointStore` and enforcing the
 ``max_failures`` circuit breaker.
 
-Timeouts run the attempt on a worker thread and abandon it when the
+Timeouts run the attempt on a daemon thread and abandon it when the
 budget expires; the thread itself cannot be killed (CPython offers no
-safe preemption), so a truly hung point leaks one daemon thread — the
-sweep still makes progress, which is the property we need.  Tests avoid
+safe preemption), so a truly hung point leaks that thread until it
+returns or the process exits, which does not wait for it — the sweep
+still makes progress, which is the property we need.  Tests avoid
 wall-clock dependence entirely by injecting simulated timeouts through
 :mod:`repro.robust.faults`.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -70,18 +72,23 @@ def _attempt(
     """Run one attempt, enforcing the wall-clock timeout if set."""
     if timeout is None:
         return fn(**params)
-    executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-    try:
-        future = executor.submit(fn, **params)
+    future: concurrent.futures.Future = concurrent.futures.Future()
+
+    def run() -> None:
         try:
-            return future.result(timeout=timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise PointTimeoutError(
-                f"point {params!r} exceeded its {timeout}s wall-clock budget"
-            ) from None
-    finally:
-        executor.shutdown(wait=False)
+            future.set_result(fn(**params))
+        except BaseException as exc:  # noqa: BLE001 - re-raised by future.result
+            future.set_exception(exc)
+
+    # A daemon thread: an abandoned attempt must not hold up interpreter
+    # exit, which joins every non-daemon thread, executor workers included.
+    threading.Thread(target=run, name="repro-attempt", daemon=True).start()
+    try:
+        return future.result(timeout=timeout)
+    except concurrent.futures.TimeoutError:
+        raise PointTimeoutError(
+            f"point {params!r} exceeded its {timeout}s wall-clock budget"
+        ) from None
 
 
 def execute_point(

@@ -103,6 +103,20 @@ class TestRunCommand:
         for part in expected:
             assert part in message
 
+    @pytest.mark.parametrize(
+        "command, scope",
+        [("dram", "dram replays single-array traces"),
+         ("analyze", "analyze estimates single arrays")],
+    )
+    def test_partitioned_config_names_the_config_grid(self, tmp_path, command, scope):
+        config_path = dump_config(SMALL_TEST.with_partitions(2, 2), tmp_path / "grid.cfg")
+        assert "PartitionRows = 2" in config_path.read_text()
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "-c", str(config_path), "--workload", "NCF0"])
+        assert str(excinfo.value.code) == (
+            f"{scope}; the config's 2x2 partition grid must be 1x1"
+        )
+
     def test_dataflow_override(self, capsys):
         assert main(["run", "--workload", "TF1", "--array", "16x16", "--dataflow", "ws"]) == 0
         assert "ws" in capsys.readouterr().out

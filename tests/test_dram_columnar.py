@@ -1,10 +1,13 @@
 """The columnar DRAM replay: full-size pins, the metrics branch, and
 bit-identity with the scalar reference channel."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.config.presets import paper_scaling_config
+from repro.dram.channel import Channel
 from repro.dram.request import DramAccess, decode, decode_columns
 from repro.dram.simulator import DramSimulator, DramStats
 from repro.dram.timing import DramTiming
@@ -110,13 +113,28 @@ class TestScalarReference:
     @pytest.mark.parametrize("t_wtr", [0, 8, 40])
     def test_any_window_and_turnaround(self, window, t_wtr):
         trace = random_dram_trace(VerifyCase(m=40, k=40, n=40))
-        for channels in (1, 3):
+        # With fewer banks, more of the requests a pick skipped share the
+        # bank that the next miss re-opens.
+        for channels, banks in itertools.product((1, 3), (1, 2, 4)):
             timing = DramTiming(
-                num_channels=channels, banks_per_channel=4, row_bytes=256,
+                num_channels=channels, banks_per_channel=banks, row_bytes=256,
                 t_refi=500, t_rfc=120, t_wtr=t_wtr,
             )
             expected, _ = scalar_dram_replay(timing, window, trace)
-            assert DramSimulator(timing, window).run(trace) == expected
+            assert DramSimulator(timing, window).run(trace) == expected, (channels, banks)
+
+    def test_a_miss_turns_skipped_requests_into_hits(self):
+        # One bank with 4-line rows: requests 1 and 2 are in row 1,
+        # requests 0 and 3 in row 0.  Serving 0 opens row 0, so the
+        # skipped request 3 is the window's first hit; serving 1 then
+        # opens row 1 for the skipped request 2.
+        timing = DramTiming(banks_per_channel=1, row_bytes=256, t_refi=0)
+        trace = [DramAccess(0, 0), DramAccess(0, 256), DramAccess(0, 320), DramAccess(0, 64)]
+        served = Channel(timing, window=4).service(trace)
+        assert [trace.index(item.request) for item in served] == [0, 3, 1, 2]
+        expected, _ = scalar_dram_replay(timing, 4, trace)
+        assert expected.row_hits == 2
+        assert DramSimulator(timing, 4).run(trace) == expected
 
     def test_unsorted_arrivals_keep_submission_order_on_ties(self):
         timing = DramTiming(num_channels=2, banks_per_channel=2, row_bytes=256, t_refi=0)

@@ -1,5 +1,7 @@
 """Unit tests for SRAM trace files and DRAM request streams."""
 
+import gc
+
 import pytest
 
 from repro.config.hardware import Dataflow, HardwareConfig
@@ -82,6 +84,25 @@ class TestDramRequestStream:
         requests = list(dram_request_stream(traffic, AddressLayout(m=64, k=32, n=48)))
         write_addrs = [req.address for req in requests if req.is_write]
         assert write_addrs == sorted(write_addrs)
+
+    def test_leaves_the_collector_as_it_found_it(self):
+        _, traffic = self.traffic()
+        layout = AddressLayout(m=64, k=32, n=48)
+        was_enabled = gc.isenabled()
+        streams = []
+        try:
+            for enabled in (True, False):
+                if enabled:
+                    gc.enable()
+                else:
+                    gc.disable()
+                streams.append(list(dram_request_stream(traffic, layout)))
+                assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert streams[0] == streams[1]
+        assert len(streams[0]) > 0
 
     @pytest.mark.parametrize("loop_order", ["row", "col"])
     @pytest.mark.parametrize("line_bytes", [16, 64, 100])

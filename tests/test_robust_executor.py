@@ -1,5 +1,11 @@
 """Unit tests for the fault-tolerant point/batch executor."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.errors import CircuitOpenError, PointTimeoutError
@@ -7,6 +13,7 @@ from repro.robust.executor import execute_grid, execute_point
 from repro.robust.policy import ExecutionPolicy
 from repro.robust.report import exception_chain
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 NO_SLEEP = lambda _delay: None  # noqa: E731 - keep retry tests instant
 
 
@@ -80,8 +87,6 @@ class TestExecutePoint:
         assert len(calls) == 1
 
     def test_wallclock_timeout(self):
-        import time
-
         def hang(a):
             time.sleep(0.8)
             return {"x": a}
@@ -92,12 +97,40 @@ class TestExecutePoint:
         assert "PointTimeoutError" in record.error
         assert isinstance(record.exception, PointTimeoutError)
 
+    def test_timed_out_attempt_does_not_delay_process_exit(self):
+        # The abandoned attempt still sleeps when the child's main thread
+        # returns; exit must not wait for it.
+        child = (
+            "import time\n"
+            "from repro.robust.executor import execute_point\n"
+            "from repro.robust.policy import ExecutionPolicy\n"
+            "record = execute_point(lambda a: time.sleep(a), {'a': 10.0},\n"
+            "                       policy=ExecutionPolicy(timeout=0.2))\n"
+            "print(record.error)\n"
+        )
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        assert "PointTimeoutError" in done.stdout
+        assert elapsed < 5.0
+
     def test_keyboard_interrupt_propagates(self):
         def interrupted(a):
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             execute_point(interrupted, {"a": 1})
+
+    def test_keyboard_interrupt_propagates_from_a_timed_attempt(self):
+        def interrupted(a):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            execute_point(interrupted, {"a": 1}, policy=ExecutionPolicy(timeout=5.0))
 
     def test_non_dict_result_rejected(self):
         record = execute_point(lambda a: 42, {"a": 1})
